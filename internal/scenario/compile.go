@@ -135,6 +135,7 @@ type Compiled struct {
 }
 
 // Compile validates the spec and resolves everything executable about it.
+// It fails exactly when Validate does: past validation nothing can fail.
 func (s Spec) Compile() (*Compiled, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -151,11 +152,7 @@ func (s Spec) Compile() (*Compiled, error) {
 	}
 	for i := range s.Workloads {
 		w := &s.Workloads[i]
-		prog, err := buildProgram(w)
-		if err != nil {
-			return nil, err
-		}
-		c.protos[w.Core] = prog
+		c.protos[w.Core] = buildProgram(w)
 		c.sources[w.Core] = w
 	}
 	// Populations expand to per-member Workload entries with derived seeds.
@@ -166,23 +163,18 @@ func (s Spec) Compile() (*Compiled, error) {
 		p := s.Populations[i]
 		for core := p.FromCore; core <= p.ToCore; core++ {
 			w := p.member(core)
-			prog, err := buildProgram(&w)
-			if err != nil {
-				return nil, err
-			}
-			c.protos[core] = prog
+			c.protos[core] = buildProgram(&w)
 			c.sources[core] = &w
 		}
 	}
 	return c, nil
 }
 
-// buildProgram instantiates one Workload entry's program.
-func buildProgram(w *Workload) (cpu.Program, error) {
-	spec, ok := workload.ByName(w.Name)
-	if !ok {
-		return nil, fmt.Errorf("scenario: unknown workload %q", w.Name)
-	}
+// buildProgram instantiates one Workload entry's program. It cannot fail:
+// the only way it could, an unknown workload name, is a Validate error, so
+// it is only ever called on a validated spec.
+func buildProgram(w *Workload) cpu.Program {
+	spec, _ := workload.ByName(w.Name)
 	seed := w.Seed
 	if seed == 0 {
 		seed = 1
@@ -195,7 +187,7 @@ func buildProgram(w *Workload) (cpu.Program, error) {
 	if w.Loop {
 		prog = sim.NewLooped(prog)
 	}
-	return prog, nil
+	return prog
 }
 
 // TuA returns the resolved task-under-analysis core.
@@ -213,12 +205,7 @@ func (c *Compiled) Program(core int) cpu.Program {
 	if p, ok := cpu.TryClone(c.protos[core]); ok {
 		return p
 	}
-	p, err := buildProgram(c.sources[core])
-	if err != nil {
-		// Unreachable: the entry built once already during Compile.
-		panic(err)
-	}
-	return p
+	return buildProgram(c.sources[core])
 }
 
 // Programs builds a fresh full per-core program vector.

@@ -492,7 +492,11 @@ func (s Spec) tua() (int, error) {
 }
 
 // Validate checks the spec against the schema's semantic rules. Compile
-// calls it; the corpus test calls it on every file.
+// calls it; the corpus test calls it on every file; cbad (internal/service)
+// calls it on every /v1/run body before the cache lookup, and compiles only
+// on a cache miss. That order is sound because Validate ⇒ Compile: a spec
+// Validate accepts is one Compile accepts, so a request served from the
+// cache is one that would also have compiled (TestCompileFailsExactlyWhenValidate).
 func (s Spec) Validate() error {
 	if !validName(s.Name) {
 		return fmt.Errorf("scenario: name %q is not a valid snapshot file stem ([a-zA-Z0-9._-]+)", s.Name)

@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"fmt"
 	"math"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -36,75 +38,79 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// validateRejections is the invalid-spec table: each case mutates
+// validSpec into a spec Validate must reject, with an error that mentions
+// want.
+var validateRejections = []struct {
+	name string
+	mut  func(*Spec)
+	want string
+}{
+	{"empty name", func(s *Spec) { s.Name = "" }, "file stem"},
+	{"bad name", func(s *Spec) { s.Name = "a/b" }, "file stem"},
+	{"bad run", func(s *Spec) { s.Run = "contention" }, "run ="},
+	{"bad policy", func(s *Spec) { s.Policy = "EDF" }, "unknown policy"},
+	{"bad credit", func(s *Spec) { s.Credit = &Credit{Kind: "tokens"} }, "unknown credit kind"},
+	{"bad engine", func(s *Spec) { s.Engine = "warp" }, "engine ="},
+	{"tua range", func(s *Spec) { s.TuA = intp(7) }, "out of range"},
+	{"no workloads", func(s *Spec) { s.Workloads = nil }, "no workloads"},
+	{"core range", func(s *Spec) { s.Workloads[0].Core = 4 }, "out of range"},
+	{"unknown workload", func(s *Spec) { s.Workloads[0].Name = "dhrystone" }, "unknown workload"},
+	{"negative ops", func(s *Spec) { s.Workloads[0].Ops = -1 }, "ops"},
+	{"weight without LOT", func(s *Spec) { s.Workloads[0].Weight = 2 }, "weighted policies"},
+	{"bad criticality", func(s *Spec) { s.Workloads[0].Criticality = "MID" }, "criticality"},
+	{"loop outside workloads run", func(s *Spec) { s.Workloads[0].Loop = true }, "loop"},
+	{"tua without workload", func(s *Spec) { s.TuA = intp(1) }, "no workload"},
+	{"num without den", func(s *Spec) { s.Credit = &Credit{Kind: "hcba-weights", Num: 1} }, "set both"},
+	{"share >= 1", func(s *Spec) { s.Credit = &Credit{Kind: "hcba-weights", Num: 3, Den: 3} }, "< 1"},
+	{"weights on cba", func(s *Spec) { s.Credit = &Credit{Kind: "cba", Num: 1, Den: 2} }, "hcba-weights"},
+	{"cap on weights", func(s *Spec) { s.Credit = &Credit{Kind: "hcba-weights", Num: 1, Den: 2, CapFactor: 2} }, "hcba-cap"},
+	{"cap factor 1", func(s *Spec) { s.Credit = &Credit{Kind: "hcba-cap", CapFactor: 1} }, "cap_factor"},
+	{"negative cores", func(s *Spec) { s.Cores = -3 }, "cores ="},
+	{"privileged range", func(s *Spec) { s.Credit = &Credit{Kind: "hcba-cap", Privileged: intp(9)} }, "privileged"},
+	{"privileged on plain cba", func(s *Spec) { s.Credit = &Credit{Kind: "cba", Privileged: intp(2)} }, "hcba-"},
+	{"privileged 0 with nonzero tua", func(s *Spec) {
+		s.TuA = intp(1)
+		s.Workloads[0].Core = 1
+		s.Credit = &Credit{Kind: "hcba-weights", Privileged: intp(0)}
+	}, "not expressible"},
+	{"seeds list plus base", func(s *Spec) { s.Seeds = Seeds{Base: 1, List: []uint64{2}} }, "exclusive"},
+	{"seeds list plus runs", func(s *Spec) { s.Seeds = Seeds{Runs: 2, List: []uint64{2}} }, "exclusive"},
+	{"seeds list plus stride", func(s *Spec) { s.Seeds = Seeds{Stride: 3, List: []uint64{2}} }, "exclusive"},
+	{"negative seeds runs", func(s *Spec) { s.Seeds = Seeds{Runs: -1} }, "seeds.runs"},
+	{"duplicate list seeds", func(s *Spec) { s.Seeds = Seeds{List: []uint64{7, 3, 7}} }, "duplicate seeds"},
+	{"seed schedule wraps", func(s *Spec) { s.Seeds = Seeds{Base: math.MaxUint64 - 5, Runs: 3, Stride: 3} }, "overflows"},
+	{"seed stride product wraps", func(s *Spec) { s.Seeds = Seeds{Runs: 3, Stride: math.MaxUint64} }, "overflows"},
+	{"negative platform", func(s *Spec) { s.Platform = &Platform{L1Sets: -4} }, "platform.l1_sets"},
+	{"invalid cache geometry", func(s *Spec) { s.Platform = &Platform{L1Sets: 3} }, "L1"},
+	{"empty fair block", func(s *Spec) {
+		s.Policy = "PF"
+		s.Fair = &Fair{}
+	}, "fair block is empty"},
+	{"avg_shift without PF", func(s *Spec) {
+		s.Policy = "GWF"
+		s.Fair = &Fair{AvgShift: 2}
+	}, "avg_shift only applies to policy PF"},
+	{"avg_shift range", func(s *Spec) {
+		s.Policy = "PF"
+		s.Fair = &Fair{AvgShift: 31}
+	}, "avg_shift"},
+	{"timescales without MTS", func(s *Spec) {
+		s.Policy = "PF"
+		s.Fair = &Fair{Timescales: []TimescaleSpec{{Num: 1, Den: 64, Depth: 4}}}
+	}, "timescales only apply to policy MTS"},
+	{"too many timescales", func(s *Spec) {
+		s.Policy = "MTS"
+		s.Fair = &Fair{Timescales: make([]TimescaleSpec, 9)}
+	}, "≤ 8"},
+	{"timescale field range", func(s *Spec) {
+		s.Policy = "MTS"
+		s.Fair = &Fair{Timescales: []TimescaleSpec{{Num: 1, Den: 0, Depth: 4}}}
+	}, "timescales[0].den"},
+}
+
 func TestValidateRejections(t *testing.T) {
-	cases := []struct {
-		name string
-		mut  func(*Spec)
-		want string
-	}{
-		{"empty name", func(s *Spec) { s.Name = "" }, "file stem"},
-		{"bad name", func(s *Spec) { s.Name = "a/b" }, "file stem"},
-		{"bad run", func(s *Spec) { s.Run = "contention" }, "run ="},
-		{"bad policy", func(s *Spec) { s.Policy = "EDF" }, "unknown policy"},
-		{"bad credit", func(s *Spec) { s.Credit = &Credit{Kind: "tokens"} }, "unknown credit kind"},
-		{"bad engine", func(s *Spec) { s.Engine = "warp" }, "engine ="},
-		{"tua range", func(s *Spec) { s.TuA = intp(7) }, "out of range"},
-		{"no workloads", func(s *Spec) { s.Workloads = nil }, "no workloads"},
-		{"core range", func(s *Spec) { s.Workloads[0].Core = 4 }, "out of range"},
-		{"unknown workload", func(s *Spec) { s.Workloads[0].Name = "dhrystone" }, "unknown workload"},
-		{"negative ops", func(s *Spec) { s.Workloads[0].Ops = -1 }, "ops"},
-		{"weight without LOT", func(s *Spec) { s.Workloads[0].Weight = 2 }, "weighted policies"},
-		{"bad criticality", func(s *Spec) { s.Workloads[0].Criticality = "MID" }, "criticality"},
-		{"loop outside workloads run", func(s *Spec) { s.Workloads[0].Loop = true }, "loop"},
-		{"tua without workload", func(s *Spec) { s.TuA = intp(1) }, "no workload"},
-		{"num without den", func(s *Spec) { s.Credit = &Credit{Kind: "hcba-weights", Num: 1} }, "set both"},
-		{"share >= 1", func(s *Spec) { s.Credit = &Credit{Kind: "hcba-weights", Num: 3, Den: 3} }, "< 1"},
-		{"weights on cba", func(s *Spec) { s.Credit = &Credit{Kind: "cba", Num: 1, Den: 2} }, "hcba-weights"},
-		{"cap on weights", func(s *Spec) { s.Credit = &Credit{Kind: "hcba-weights", Num: 1, Den: 2, CapFactor: 2} }, "hcba-cap"},
-		{"cap factor 1", func(s *Spec) { s.Credit = &Credit{Kind: "hcba-cap", CapFactor: 1} }, "cap_factor"},
-		{"negative cores", func(s *Spec) { s.Cores = -3 }, "cores ="},
-		{"privileged range", func(s *Spec) { s.Credit = &Credit{Kind: "hcba-cap", Privileged: intp(9)} }, "privileged"},
-		{"privileged on plain cba", func(s *Spec) { s.Credit = &Credit{Kind: "cba", Privileged: intp(2)} }, "hcba-"},
-		{"privileged 0 with nonzero tua", func(s *Spec) {
-			s.TuA = intp(1)
-			s.Workloads[0].Core = 1
-			s.Credit = &Credit{Kind: "hcba-weights", Privileged: intp(0)}
-		}, "not expressible"},
-		{"seeds list plus base", func(s *Spec) { s.Seeds = Seeds{Base: 1, List: []uint64{2}} }, "exclusive"},
-		{"seeds list plus runs", func(s *Spec) { s.Seeds = Seeds{Runs: 2, List: []uint64{2}} }, "exclusive"},
-		{"seeds list plus stride", func(s *Spec) { s.Seeds = Seeds{Stride: 3, List: []uint64{2}} }, "exclusive"},
-		{"negative seeds runs", func(s *Spec) { s.Seeds = Seeds{Runs: -1} }, "seeds.runs"},
-		{"duplicate list seeds", func(s *Spec) { s.Seeds = Seeds{List: []uint64{7, 3, 7}} }, "duplicate seeds"},
-		{"seed schedule wraps", func(s *Spec) { s.Seeds = Seeds{Base: math.MaxUint64 - 5, Runs: 3, Stride: 3} }, "overflows"},
-		{"seed stride product wraps", func(s *Spec) { s.Seeds = Seeds{Runs: 3, Stride: math.MaxUint64} }, "overflows"},
-		{"negative platform", func(s *Spec) { s.Platform = &Platform{L1Sets: -4} }, "platform.l1_sets"},
-		{"invalid cache geometry", func(s *Spec) { s.Platform = &Platform{L1Sets: 3} }, "L1"},
-		{"empty fair block", func(s *Spec) {
-			s.Policy = "PF"
-			s.Fair = &Fair{}
-		}, "fair block is empty"},
-		{"avg_shift without PF", func(s *Spec) {
-			s.Policy = "GWF"
-			s.Fair = &Fair{AvgShift: 2}
-		}, "avg_shift only applies to policy PF"},
-		{"avg_shift range", func(s *Spec) {
-			s.Policy = "PF"
-			s.Fair = &Fair{AvgShift: 31}
-		}, "avg_shift"},
-		{"timescales without MTS", func(s *Spec) {
-			s.Policy = "PF"
-			s.Fair = &Fair{Timescales: []TimescaleSpec{{Num: 1, Den: 64, Depth: 4}}}
-		}, "timescales only apply to policy MTS"},
-		{"too many timescales", func(s *Spec) {
-			s.Policy = "MTS"
-			s.Fair = &Fair{Timescales: make([]TimescaleSpec, 9)}
-		}, "≤ 8"},
-		{"timescale field range", func(s *Spec) {
-			s.Policy = "MTS"
-			s.Fair = &Fair{Timescales: []TimescaleSpec{{Num: 1, Den: 0, Depth: 4}}}
-		}, "timescales[0].den"},
-	}
-	for _, c := range cases {
+	for _, c := range validateRejections {
 		t.Run(c.name, func(t *testing.T) {
 			s := validSpec()
 			c.mut(&s)
@@ -116,6 +122,41 @@ func TestValidateRejections(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, c.want)
 			}
 		})
+	}
+}
+
+// TestCompileFailsExactlyWhenValidate pins the Validate ⇒ Compile invariant
+// cbad's hit path rests on: it validates, then serves cached results
+// without compiling, which is only sound if every spec Validate accepts
+// also compiles. Compile's error must equal Validate's on every corpus file
+// (all valid) and on every case of the invalid-spec table.
+func TestCompileFailsExactlyWhenValidate(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join(corpusDir, "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) < corpusFloor {
+		t.Fatalf("found %d corpus files, the curated floor is %d", len(paths), corpusFloor)
+	}
+	specs := map[string]Spec{"valid spec": validSpec()}
+	for _, p := range paths {
+		s, err := Load(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs["corpus/"+filepath.Base(p)] = s
+	}
+	for _, c := range validateRejections {
+		s := validSpec()
+		c.mut(&s)
+		specs["invalid/"+c.name] = s
+	}
+	for name, s := range specs {
+		verr := s.Validate()
+		_, cerr := s.Compile()
+		if fmt.Sprint(verr) != fmt.Sprint(cerr) {
+			t.Errorf("%s: Validate error %v, Compile error %v", name, verr, cerr)
+		}
 	}
 }
 

@@ -354,14 +354,16 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 			writeError(w, ErrCodeInvalidSpec, "campaign spec rejected", err.Error())
 			return
 		}
-		// Validate before touching the job store, so a bad spec is the
-		// client's 400 and a store failure is the server's 500.
-		if _, err := spec.Compile(); err != nil {
+		// Compile before touching the job store, so a bad spec is the
+		// client's 400 and a store failure is the server's 500. The job runs
+		// on this compiled campaign; only a restart compiles it again.
+		camp, err := spec.Compile()
+		if err != nil {
 			s.bad.Add(1)
 			writeError(w, ErrCodeInvalidSpec, "campaign spec rejected", err.Error())
 			return
 		}
-		st, created, err := s.jobs.submit(spec)
+		st, created, err := s.jobs.submit(camp)
 		if err != nil {
 			writeError(w, ErrCodeInternal, "job submission failed", err.Error())
 			return
@@ -438,10 +440,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, ErrCodeInvalidSpec, "scenario spec rejected", err.Error())
 		return
 	}
-	// Compile validates; a spec that loads but breaks a schema rule (seed
+	// Validate, key, look up, and compile only on a miss. Validation runs
+	// before the lookup because Name and Seeds are outside the cache key: an
+	// invalid spec could otherwise share a valid spec's key and be served
+	// from the cache. A spec that loads but breaks a schema rule (seed
 	// overflow, duplicate seeds, bad geometry, ...) is the client's error.
-	compiled, err := spec.Compile()
-	if err != nil {
+	// Validate ⇒ Compile, so a hit never skips a compile error.
+	if err := spec.Validate(); err != nil {
 		s.bad.Add(1)
 		writeError(w, ErrCodeInvalidSpec, "scenario spec rejected", err.Error())
 		return
@@ -451,6 +456,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, ErrCodeInternal, "cache key derivation failed", err.Error())
 		return
 	}
+	// Hits and coalesced joins never compile; the first seed that must start
+	// an execution compiles, once for the whole request.
+	compile := sync.OnceValues(spec.Compile)
 
 	// Fan the whole schedule out first — the pool runs seeds of one request
 	// concurrently — then collect in schedule order. An admission refusal
@@ -462,12 +470,18 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		cached bool
 		f      *flight
 	}
-	runs := make([]pending, 0, len(compiled.Seeds))
-	for _, seed := range compiled.Seeds {
+	seeds := spec.Seeds.Expand()
+	runs := make([]pending, 0, len(seeds))
+	for _, seed := range seeds {
 		p := pending{seed: seed}
 		var err error
-		p.res, p.cached, p.f, err = s.startRun(compiled, key, seed)
+		p.res, p.cached, p.f, err = s.startRun(compile, key, seed)
 		if err != nil {
+			if !errors.Is(err, campaign.ErrQueueFull) {
+				// Unreachable while Validate ⇒ Compile holds.
+				writeError(w, ErrCodeInternal, "scenario compile failed", err.Error())
+				return
+			}
 			s.rejected.Add(1)
 			writeError(w, ErrCodeQueueFull, "queue full, retry later", "")
 			return
@@ -518,9 +532,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // cache hit returns the result directly (cached true, nil flight); otherwise
 // the caller receives a flight to await — its own fresh execution admitted
 // through the bounded pool, or a join of an identical run already in
-// flight (single-flight deduplication). A non-nil error is an admission
-// refusal (campaign.ErrQueueFull).
-func (s *Server) startRun(c *scenario.Compiled, key string, seed uint64) (sim.Result, bool, *flight, error) {
+// flight (single-flight deduplication). compile is called only on the
+// branch that creates a flight, so hits and joins never compile. A non-nil
+// error is a compile failure or an admission refusal
+// (campaign.ErrQueueFull); either is published through the flight first.
+func (s *Server) startRun(compile func() (*scenario.Compiled, error), key string, seed uint64) (sim.Result, bool, *flight, error) {
 	rk := fmt.Sprintf("%s/%d", key, seed)
 
 	s.mu.Lock()
@@ -538,26 +554,31 @@ func (s *Server) startRun(c *scenario.Compiled, key string, seed uint64) (sim.Re
 	f := &flight{done: make(chan struct{})}
 	s.flights[rk] = f
 	s.mu.Unlock()
-	s.misses.Add(1)
 
-	err := s.pool.TrySubmit(func(rn *sim.Runner) {
-		if s.execGate != nil {
-			s.execGate()
-		}
-		s.execs.Add(1)
-		f.res, f.err = c.RunSeedRunner(rn, seed)
-		s.mu.Lock()
-		if f.err == nil {
-			s.cache.put(rk, f.res)
-		}
-		delete(s.flights, rk)
-		s.mu.Unlock()
-		close(f.done)
-	})
+	c, err := compile()
+	// Counted after the compile, right before admission, so a miss in the
+	// stats means the run has been offered to the pool.
+	s.misses.Add(1)
+	if err == nil {
+		err = s.pool.TrySubmit(func(rn *sim.Runner) {
+			if s.execGate != nil {
+				s.execGate()
+			}
+			s.execs.Add(1)
+			f.res, f.err = c.RunSeedRunner(rn, seed)
+			s.mu.Lock()
+			if f.err == nil {
+				s.cache.put(rk, f.res)
+			}
+			delete(s.flights, rk)
+			s.mu.Unlock()
+			close(f.done)
+		})
+	}
 	if err != nil {
-		// Admission refused. Joiners that latched onto this flight between
-		// the map insert and now must see the refusal too, so publish it
-		// through the flight before retiring it.
+		// Compile failed or admission was refused. Joiners that latched onto
+		// this flight between the map insert and now must see the error too,
+		// so publish it through the flight before retiring it.
 		f.err = err
 		s.mu.Lock()
 		delete(s.flights, rk)
