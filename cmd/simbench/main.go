@@ -15,11 +15,13 @@
 // which re-measures and fails (non-zero exit, nothing written) if the fast
 // engine's speedups drop below -threshold (default 0.85×) of the recorded
 // baseline, if the pooled campaign path's allocations per run grow beyond
-// 1/threshold of the baseline, if the parallel campaign's scaling over
-// serial falls below threshold × the baseline's (skipped with a notice
-// when worker counts differ — absolute runs/sec are machine-dependent,
-// scaling ratios are not), or if the 1024-vs-64-core throughput
-// degradation grows beyond the baseline's ratio or the absolute 16× cap. A missing or malformed baseline, or one written
+// 1/threshold of the baseline (both measured on the 1-worker run, so the
+// row compares like with like on any host), if the parallel campaign's
+// scaling over serial falls below threshold × the baseline's (skipped with
+// a notice when worker counts differ — absolute runs/sec are
+// machine-dependent, scaling ratios are not), or if the 1024-vs-64-core
+// throughput degradation grows beyond the baseline's ratio or the absolute
+// maxCoreDegradation cap. A missing or malformed baseline, or one written
 // by a different schema version, is an error, never a reason to rewrite.
 //
 // Profiling hooks for optimisation work: -cpuprofile / -memprofile write
@@ -56,11 +58,12 @@ import (
 const SchemaVersion = 3
 
 // maxCoreDegradation is the absolute scale-out bar, independent of any
-// baseline: stepping a 1024-core machine must keep more than 1/16 of the
-// 64-core machine's sim-cycles/sec. The eligibility bitsets and flat
-// per-core state exist to hold this; a linear-in-cores decision loop
-// busts it immediately.
-const maxCoreDegradation = 16.0
+// baseline: stepping a 1024-core machine must keep more than 1/4 of the
+// 64-core machine's sim-cycles/sec. Lazy CBA accounting (per-cycle cost
+// independent of the master count), the eligibility bitsets and flat
+// per-core state hold it at about 1.3–2.5×; any linear-in-cores per-cycle
+// loop busts it immediately.
+const maxCoreDegradation = 4.0
 
 // scalingCores are the sample points on the core-scaling curve: the
 // paper's evaluated platforms (4, 16) plus the scale-out targets.
@@ -114,7 +117,7 @@ type Report struct {
 	// counts on the max-contention scenario. degradation_1024_vs_64 is
 	// the 64-core sim-cycles/sec over the 1024-core rate — the number the
 	// scale-out refactor is accountable for. It gates both relatively
-	// (against the baseline's ratio) and absolutely (< 16×).
+	// (against the baseline's ratio) and absolutely (< maxCoreDegradation).
 	CoreScaling struct {
 		Scenario    string      `json:"scenario"`
 		Points      []CorePoint `json:"points"`
@@ -147,6 +150,8 @@ type Report struct {
 	// CollectMaxContention campaign at 1 worker and at GOMAXPROCS workers.
 	// runs_per_sec are machine-dependent; scaling (parallel over serial
 	// throughput) is the machine-portable number the gate compares.
+	// allocs_per_run and bytes_per_run come from the 1-worker run, so they
+	// do not depend on the host's worker count.
 	ParallelCampaign struct {
 		Workload           string  `json:"workload"`
 		Runs               int     `json:"runs"`
@@ -423,11 +428,11 @@ var measureAll = func(runs int, log io.Writer) (Report, error) {
 	rep.ParallelCampaign.Workload = "canrdr"
 	rep.ParallelCampaign.Runs = runs
 	rep.ParallelCampaign.Workers = workers
-	serial, _, _, err := measureCampaign(runs, 1)
+	serial, allocs, bytesPer, err := measureCampaign(runs, 1)
 	if err != nil {
 		return Report{}, err
 	}
-	parallel, allocs, bytesPer, err := measureCampaign(runs, workers)
+	parallel, _, _, err := measureCampaign(runs, workers)
 	if err != nil {
 		return Report{}, err
 	}
@@ -519,7 +524,7 @@ func checkAgainst(baseline, measured Report, threshold float64, stdout io.Writer
 	}
 	// The scale-out bar is also absolute, not just relative to the
 	// baseline: a baseline regenerated on a degraded build must not
-	// grandfather a >16× cliff past the gate.
+	// grandfather a cliff past the gate.
 	absStatus := "ok"
 	if measured.CoreScaling.Degradation >= maxCoreDegradation {
 		absStatus = "REGRESSION"

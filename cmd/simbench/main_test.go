@@ -26,9 +26,9 @@ func stubReport(step, collect float64) Report {
 	r.CoreScaling.Scenario = "canrdr max contention (WCET mode, CBA)"
 	r.CoreScaling.Points = []CorePoint{
 		{Cores: 64, NsPerOp: 100, SimCyclesPerOp: 1, SimCyclesPerS: 1e7},
-		{Cores: 1024, NsPerOp: 600, SimCyclesPerOp: 1, SimCyclesPerS: 1e7 / 6},
+		{Cores: 1024, NsPerOp: 150, SimCyclesPerOp: 1, SimCyclesPerS: 1e7 / 1.5},
 	}
-	r.CoreScaling.Degradation = 6.0
+	r.CoreScaling.Degradation = 1.5
 	return r
 }
 
@@ -57,9 +57,9 @@ const goodBaseline = `{
     "scenario": "canrdr max contention (WCET mode, CBA)",
     "points": [
       {"cores": 64, "ns_per_op": 100, "sim_cycles_per_op": 1, "sim_cycles_per_sec": 1e7},
-      {"cores": 1024, "ns_per_op": 600, "sim_cycles_per_op": 1, "sim_cycles_per_sec": 1.667e6}
+      {"cores": 1024, "ns_per_op": 150, "sim_cycles_per_op": 1, "sim_cycles_per_sec": 6.667e6}
     ],
-    "degradation_1024_vs_64": 6.0
+    "degradation_1024_vs_64": 1.5
   },
   "machine_step": {
     "per_cycle": {"ns_per_op": 100, "sim_cycles_per_op": 1, "sim_cycles_per_sec": 1e7},
@@ -146,11 +146,11 @@ func TestCheckFailsOnAllocRegression(t *testing.T) {
 }
 
 func TestCheckFailsOnDegradationRegression(t *testing.T) {
-	// Core-count degradation regresses by GROWING: 6 → 7.5 busts the
-	// baseline-relative limit of 6/0.85 ≈ 7.06 while staying under the
-	// absolute 16× cap, so exactly one gate fires.
+	// Core-count degradation regresses by GROWING: 1.5 → 1.9 busts the
+	// baseline-relative limit of 1.5/0.85 ≈ 1.76 while staying under the
+	// absolute 4× cap, so exactly one gate fires.
 	rep := stubReport(5.0, 5.0)
-	rep.CoreScaling.Degradation = 7.5
+	rep.CoreScaling.Degradation = 1.9
 	stubMeasure(t, rep)
 	path := writeBaseline(t, goodBaseline)
 	var out, errb strings.Builder
@@ -164,11 +164,11 @@ func TestCheckFailsOnDegradationRegression(t *testing.T) {
 }
 
 func TestCheckFailsAbsoluteDegradationCap(t *testing.T) {
-	// Even a baseline that already records a >16× cliff must not
+	// Even a baseline that already records a >4× cliff must not
 	// grandfather it: the absolute cap fires on the measured value alone.
-	bad := strings.Replace(goodBaseline, `"degradation_1024_vs_64": 6.0`, `"degradation_1024_vs_64": 20.0`, 1)
+	bad := strings.Replace(goodBaseline, `"degradation_1024_vs_64": 1.5`, `"degradation_1024_vs_64": 5.0`, 1)
 	rep := stubReport(5.0, 5.0)
-	rep.CoreScaling.Degradation = 18.0 // within baseline's 20/0.85, over the cap
+	rep.CoreScaling.Degradation = 4.5 // within baseline's 5/0.85, over the cap
 	stubMeasure(t, rep)
 	path := writeBaseline(t, bad)
 	var out, errb strings.Builder

@@ -126,3 +126,10 @@ func (s Set) AndNot(o Set) {
 		s[i] &^= o[i]
 	}
 }
+
+// Or adds o's bits to s in place. The sets must have equal word length.
+func (s Set) Or(o Set) {
+	for i := range s {
+		s[i] |= o[i]
+	}
+}

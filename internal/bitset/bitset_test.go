@@ -117,6 +117,15 @@ func TestWordOps(t *testing.T) {
 		}
 	}
 
+	got.CopyFrom(a)
+	got.Or(b)
+	for i := 0; i < n; i++ {
+		want := i%3 == 0 || i%2 == 0
+		if got.Test(i) != want {
+			t.Fatalf("Or: bit %d = %v, want %v", i, got.Test(i), want)
+		}
+	}
+
 	got.Reset()
 	if got.Any() || got.Count() != 0 || got.First() != -1 {
 		t.Fatalf("Reset left bits behind: %v", got)

@@ -35,6 +35,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"creditbus/internal/bitset"
 )
@@ -79,10 +81,18 @@ type Config struct {
 // Eligible / AndEligible / FilterEligible before handing masters to the
 // underlying policy.
 //
-// All per-master state is flat struct-of-arrays (weights, thresholds, caps,
-// budgets live in contiguous slices, one index per master), and every
-// budget mutation keeps the eligibility bitset in sync, so the bus-side
-// arbitration mask is a word-level AND rather than a per-master scan.
+// Budgets are accounted lazily. Between grants a non-holder's budget is the
+// saturating affine refill of Eq. 1, so each master stores only an anchor
+// (base, since) and its budget at cycle now is min(cap, base + (now−since)·w)
+// — computed when read, never stepped. Only the bus holder's anchor moves
+// every cycle. The two budget predicates the bus consumes, eligibility
+// (budget ≥ threshold) and saturation (budget = cap, the COMP latch
+// condition), change for a non-holder only at fixed future cycles — its
+// eligibility crossing since + ⌈(threshold−base)/w⌉ and its saturation
+// crossing since + ⌈(cap−base)/w⌉ — which a calendar of pending crossings
+// delivers as the clock passes them. Tick and TickN therefore cost
+// O(1 + crossings), independent of the master count, and the bitsets are
+// exact after every call, so the bus-side arbitration mask is a word AND.
 type Arbiter struct {
 	masters    int
 	maxHold    int64
@@ -90,13 +100,26 @@ type Arbiter struct {
 	weights    []int64
 	threshold  []int64
 	cap        []int64
-	budget     []int64
 	startEmpty []bool
 	underflows int64
 
-	// eligibleBits mirrors budget[i] ≥ threshold[i], maintained by every
-	// mutation path (Reset, Tick, TickN, SetBudgetForTest).
+	// now counts cycles since Reset. Master i's budget refilled from
+	// base[i] starting at cycle since[i]; the held master's anchor is kept
+	// at since = now.
+	now   int64
+	base  []int64
+	since []int64
+	// held is the master drained by the last Tick/TickN (its anchor is
+	// current and it has no calendar entry), or -1.
+	held int
+
+	// eligibleBits mirrors budget ≥ threshold and satBits budget = cap, for
+	// every master at cycle now.
 	eligibleBits bitset.Set
+	satBits      bitset.Set
+	// cal holds the next pending crossing of every master that is neither
+	// held nor saturated.
+	cal calendar
 }
 
 // New validates cfg and builds the arbiter with all budgets at their initial
@@ -116,6 +139,8 @@ func New(cfg Config) (*Arbiter, error) {
 		for i := range weights {
 			weights[i] = 1
 		}
+	} else {
+		weights = append([]int64(nil), weights...)
 	}
 	if len(weights) != n {
 		return nil, fmt.Errorf("core: len(Weights) = %d, want %d", len(weights), n)
@@ -147,15 +172,18 @@ func New(cfg Config) (*Arbiter, error) {
 		for i := range threshold {
 			threshold[i] = scale * cfg.MaxHold
 		}
+	} else {
+		threshold = append([]int64(nil), threshold...)
 	}
 	if len(threshold) != n {
 		return nil, fmt.Errorf("core: len(EligibilityThreshold) = %d, want %d", len(threshold), n)
 	}
 
-	capacity := cfg.Cap
-	if capacity == nil {
-		capacity = append([]int64(nil), threshold...)
+	capSrc := cfg.Cap
+	if capSrc == nil {
+		capSrc = threshold
 	}
+	capacity := append([]int64(nil), capSrc...)
 	if len(capacity) != n {
 		return nil, fmt.Errorf("core: len(Cap) = %d, want %d", len(capacity), n)
 	}
@@ -169,6 +197,10 @@ func New(cfg Config) (*Arbiter, error) {
 		if capacity[i] < threshold[i] {
 			return nil, fmt.Errorf("core: Cap[%d] = %d below threshold %d", i, capacity[i], threshold[i])
 		}
+		if capacity[i] > math.MaxInt64-scale {
+			return nil, fmt.Errorf("core: Cap[%d] = %d leaves no int64 headroom for a refill of up to Scale = %d",
+				i, capacity[i], scale)
+		}
 		if need := cfg.MaxHold * (scale - weights[i]); threshold[i] < need {
 			return nil, fmt.Errorf("core: EligibilityThreshold[%d] = %d cannot fund a MaxHold request (need ≥ %d)",
 				i, threshold[i], need)
@@ -178,21 +210,27 @@ func New(cfg Config) (*Arbiter, error) {
 	startEmpty := cfg.StartEmpty
 	if startEmpty == nil {
 		startEmpty = make([]bool, n)
+	} else {
+		startEmpty = append([]bool(nil), startEmpty...)
 	}
 	if len(startEmpty) != n {
 		return nil, fmt.Errorf("core: len(StartEmpty) = %d, want %d", len(startEmpty), n)
 	}
 
+	anchors := make([]int64, 2*n)
 	a := &Arbiter{
 		masters:      n,
 		maxHold:      cfg.MaxHold,
 		scale:        scale,
-		weights:      append([]int64(nil), weights...),
-		threshold:    append([]int64(nil), threshold...),
-		cap:          append([]int64(nil), capacity...),
-		budget:       make([]int64, n),
-		startEmpty:   append([]bool(nil), startEmpty...),
+		weights:      weights,
+		threshold:    threshold,
+		cap:          capacity,
+		startEmpty:   startEmpty,
+		base:         anchors[:n:n],
+		since:        anchors[n:],
 		eligibleBits: bitset.New(n),
+		satBits:      bitset.New(n),
+		cal:          newCalendar(n),
 	}
 	a.Reset()
 	return a, nil
@@ -266,15 +304,17 @@ func HeterogeneousCap(n int, maxHold int64, privileged int, factor int64) (Confi
 
 // Reset restores all budgets to their initial level.
 func (a *Arbiter) Reset() {
-	for i := range a.budget {
-		if a.startEmpty[i] {
-			a.budget[i] = 0
-		} else {
-			a.budget[i] = a.cap[i]
-		}
-		a.eligibleBits.Assign(i, a.budget[i] >= a.threshold[i])
-	}
+	a.now = 0
+	a.held = -1
 	a.underflows = 0
+	a.cal.clear()
+	for i := range a.base {
+		b := a.InitialBudget(i)
+		a.base[i], a.since[i] = b, 0
+		a.eligibleBits.Assign(i, b >= a.threshold[i])
+		a.satBits.Assign(i, b >= a.cap[i])
+		a.file(i)
+	}
 }
 
 // Tick advances one cycle: every budget refills by its weight and the bus
@@ -286,41 +326,23 @@ func (a *Arbiter) Reset() {
 // (rather than the increment alone) keeps the holder's net drain at exactly
 // Scale−w_i per busy cycle even on the first cycle after saturation, so a
 // full-budget master holding for MaxHold cycles lands at exactly
-// threshold − MaxHold·(Scale−w_i) ≥ 0.
+// threshold − MaxHold·(Scale−w_i) ≥ 0. Only the holder's anchor and the
+// crossings the clock passes are touched: O(1 + crossings).
 func (a *Arbiter) Tick(holder int) {
 	if holder >= a.masters {
 		panic(fmt.Sprintf("core: Tick holder %d out of range", holder))
 	}
-	for i := range a.budget {
-		b := a.budget[i] + a.weights[i]
-		if i == holder {
-			b -= a.scale
-		}
-		if b > a.cap[i] {
-			b = a.cap[i]
-		}
-		if b < 0 {
-			// Only reachable if the bus grants holds longer than MaxHold
-			// or grants ineligible masters; count it so tests can assert
-			// it never happens in a well-formed system.
-			b = 0
-			a.underflows++
-		}
-		a.budget[i] = b
-		a.eligibleBits.Assign(i, b >= a.threshold[i])
-	}
+	a.advance(holder, 1)
 }
 
 // TickN applies n consecutive Ticks with a constant holder (or -1 for an
-// idle bus) in closed form: Eq. 1 is a saturating linear refill, so n cycles
-// of it collapse to min(budget + n·w_i, cap) for non-holders and to
-// budget − n·(Scale−w_i) for the holder. The event-horizon stepping engine
-// (sim.Machine.Step) relies on this being bit-identical to calling Tick n
-// times, which holds because the per-cycle trajectory is monotone between
-// the clamps; the one case where it is not — a holder driven below zero,
-// where Tick counts an underflow per clamped cycle — falls back to the
-// per-cycle loop. That case is unreachable from a well-formed bus (holds are
-// bounded by MaxHold and grants require a threshold budget).
+// idle bus) in closed form: non-holders refill lazily anyway, and the
+// holder's budget falls by n·(Scale−w_i), clamping at zero. The
+// event-horizon stepping engine (sim.Machine.Step) relies on this being
+// bit-identical to calling Tick n times, including the underflow count:
+// a holder driven below zero — unreachable from a well-formed bus, where
+// holds are bounded by MaxHold and grants require a threshold budget —
+// counts one underflow per clamped cycle, as Tick does.
 func (a *Arbiter) TickN(holder int, n int64) {
 	if n <= 0 {
 		if n == 0 {
@@ -331,41 +353,93 @@ func (a *Arbiter) TickN(holder int, n int64) {
 	if holder >= a.masters {
 		panic(fmt.Sprintf("core: TickN holder %d out of range", holder))
 	}
+	a.advance(holder, n)
+}
+
+// advance moves the clock n cycles with a constant holder (any negative
+// value is an idle bus).
+func (a *Arbiter) advance(holder int, n int64) {
+	if holder < 0 {
+		holder = -1
+	}
+	if holder != a.held {
+		if a.held >= 0 {
+			// The previous holder starts refilling from its current anchor.
+			a.file(a.held)
+		}
+		if holder >= 0 {
+			a.base[holder] = a.Budget(holder)
+			a.since[holder] = a.now
+			a.cal.remove(holder)
+		}
+		a.held = holder
+	}
+	a.now += n
 	if holder >= 0 {
-		net := a.weights[holder] - a.scale // ≤ 0: New enforces Σ weights ≤ Scale
-		if a.budget[holder]+net*n < 0 {
-			for k := int64(0); k < n; k++ {
-				a.Tick(holder)
-			}
-			return
+		a.drain(holder, n)
+	}
+	for a.cal.next() <= a.now {
+		a.pass(a.cal.pop())
+	}
+}
+
+// drain applies n holding cycles to the held master's current anchor: a net
+// loss of Scale−w per cycle (never positive: New enforces w ≤ Scale),
+// clamped at zero with one underflow counted per clamped cycle.
+func (a *Arbiter) drain(m int, n int64) {
+	b := a.base[m]
+	if d := a.scale - a.weights[m]; d > 0 {
+		if hi, lo := bits.Mul64(uint64(n), uint64(d)); hi == 0 && lo <= uint64(b) {
+			b -= int64(lo)
+		} else {
+			// The budget funds b/d cycles; each later one clamps.
+			a.underflows += n - b/d
+			b = 0
 		}
 	}
-	for i := range a.budget {
-		if i == holder {
-			nb := a.budget[i] + (a.weights[i]-a.scale)*n
-			if nb > a.cap[i] {
-				nb = a.cap[i] // net refill 0 (single master) at a saturated budget
-			}
-			a.budget[i] = nb
-			a.eligibleBits.Assign(i, nb >= a.threshold[i])
-			continue
-		}
-		if a.budget[i] == a.cap[i] {
-			// Saturated refill is a no-op for non-holders; the eligibility
-			// bit is already set (New enforces cap ≥ threshold).
-			continue
-		}
-		nb := a.budget[i] + a.weights[i]*n
-		if nb > a.cap[i] || nb < a.budget[i] { // saturate (also guards overflow)
-			nb = a.cap[i]
-		}
-		a.budget[i] = nb
-		if nb >= a.threshold[i] {
-			// Refill only raises a non-holder's budget: the bit can only
-			// turn on here, never off.
-			a.eligibleBits.Set(i)
-		}
+	a.base[m], a.since[m] = b, a.now
+	a.eligibleBits.Assign(m, b >= a.threshold[m])
+	a.satBits.Assign(m, b >= a.cap[m])
+}
+
+// file calendars a non-held master's next crossing: eligibility first, then
+// saturation. A crossing the clock has already reached is passed at once.
+func (a *Arbiter) file(m int) {
+	level := a.cap[m]
+	if !a.eligibleBits.Test(m) {
+		level = a.threshold[m]
+	} else if a.satBits.Test(m) {
+		return
 	}
+	if at := a.crossing(m, level); at > a.now {
+		a.cal.push(m, at)
+		return
+	}
+	a.pass(m)
+}
+
+// pass flips the bit of master m's calendared crossing, which the clock has
+// reached, and files the next one. With cap = threshold both crossings are
+// the same cycle.
+func (a *Arbiter) pass(m int) {
+	if a.eligibleBits.Test(m) || a.cap[m] == a.threshold[m] {
+		a.eligibleBits.Set(m)
+		a.satBits.Set(m)
+		return
+	}
+	a.eligibleBits.Set(m)
+	a.file(m)
+}
+
+// crossing returns the first cycle at which master m's refill from its
+// anchor reaches level (> base), saturating at math.MaxInt64.
+func (a *Arbiter) crossing(m int, level int64) int64 {
+	w := a.weights[m]
+	k := (level - a.base[m] + w - 1) / w // no overflow: New bounds cap ≤ MaxInt64−Scale
+	if k > math.MaxInt64-a.since[m] {
+		return math.MaxInt64
+	}
+	return a.since[m] + k
 }
 
 // CyclesUntilEligible returns how many refill-only cycles master m needs
@@ -384,8 +458,9 @@ func (a *Arbiter) CyclesUntilSaturated(m int) int64 {
 	return a.cyclesUntil(m, a.cap[m])
 }
 
+// cyclesUntil is the refill distance from m's current budget to level.
 func (a *Arbiter) cyclesUntil(m int, level int64) int64 {
-	short := level - a.budget[m]
+	short := level - a.Budget(m)
 	if short <= 0 {
 		return 0
 	}
@@ -397,9 +472,7 @@ func (a *Arbiter) cyclesUntil(m int, level int64) int64 {
 // arbitrated (budget ≥ eligibility threshold; with the default config the
 // threshold equals the cap, so this is the paper's "budget of exactly
 // MaxL").
-func (a *Arbiter) Eligible(m int) bool {
-	return a.budget[m] >= a.threshold[m]
-}
+func (a *Arbiter) Eligible(m int) bool { return a.eligibleBits.Test(m) }
 
 // FilterEligible writes pending ∧ eligible into out (which may alias
 // pending) and returns out. Both slices must have Masters entries.
@@ -415,8 +488,15 @@ func (a *Arbiter) FilterEligible(pending, out []bool) []bool {
 // from. dst must have bitset.Words(Masters()) words.
 func (a *Arbiter) AndEligible(dst bitset.Set) { dst.And(a.eligibleBits) }
 
-// Budget returns master m's current scaled budget.
-func (a *Arbiter) Budget(m int) int64 { return a.budget[m] }
+// Budget returns master m's current scaled budget, materialised from its
+// anchor. Below saturation the refill term is exact: it stays under
+// cap − base, so it cannot overflow.
+func (a *Arbiter) Budget(m int) int64 {
+	if a.satBits.Test(m) {
+		return a.cap[m]
+	}
+	return a.base[m] + (a.now-a.since[m])*a.weights[m]
+}
 
 // InitialBudget returns master m's scaled budget at Reset: zero for
 // StartEmpty masters (the WCET-mode TuA), the saturation cap otherwise.
@@ -431,7 +511,7 @@ func (a *Arbiter) InitialBudget(m int) int64 {
 
 // BudgetCycles returns master m's budget converted to cycles of bus
 // occupancy it could fund (floor of budget / scale).
-func (a *Arbiter) BudgetCycles(m int) int64 { return a.budget[m] / a.scale }
+func (a *Arbiter) BudgetCycles(m int) int64 { return a.Budget(m) / a.scale }
 
 // Masters returns the number of masters.
 func (a *Arbiter) Masters() int { return a.masters }
@@ -515,6 +595,11 @@ func (a *Arbiter) SetBudgetForTest(m int, b int64) {
 	if b < 0 || b > a.cap[m] {
 		panic("core: SetBudgetForTest out of range")
 	}
-	a.budget[m] = b
+	a.cal.remove(m)
+	a.base[m], a.since[m] = b, a.now
 	a.eligibleBits.Assign(m, b >= a.threshold[m])
+	a.satBits.Assign(m, b >= a.cap[m])
+	if m != a.held {
+		a.file(m)
+	}
 }

@@ -8,9 +8,10 @@ import (
 // asserts New's contract: it either returns a descriptive error or a fully
 // valid arbiter — never a panic, never an arbiter that violates the budget
 // invariants. Accepted arbiters are then driven through an arbitrary grant
-// schedule with the bulk TickN path checked cycle-for-cycle against the
-// per-cycle Tick reference, which is exactly the equivalence the simulator's
-// event-horizon engine relies on.
+// schedule, each span through either the bulk TickN or per-cycle Tick, and
+// checked after every span against the dense per-cycle reference (budgets,
+// eligibility, underflows) — the equivalence both the simulator's engines
+// rely on.
 func FuzzCreditArbiterConfig(f *testing.F) {
 	f.Add(4, int64(56), []byte{1, 1, 1, 1}, int64(0), []byte{}, []byte{}, []byte{}, []byte{3, 7})
 	f.Add(4, int64(56), []byte{3, 1, 1, 1}, int64(6), []byte{}, []byte{}, []byte{1, 0, 0, 0}, []byte{20, 1})
@@ -38,7 +39,7 @@ func FuzzCreditArbiterConfig(f *testing.F) {
 		if err != nil {
 			return
 		}
-		ref := MustNew(cfg) // a config New accepted must stay acceptable
+		ref := newDense(MustNew(cfg)) // a config New accepted must stay acceptable
 
 		n := arb.Masters()
 		for i := 0; i < n; i++ {
@@ -47,25 +48,34 @@ func FuzzCreditArbiterConfig(f *testing.F) {
 			}
 		}
 
-		// Arbitrary holder schedule (including idle), bulk vs per-cycle.
+		// Arbitrary holder schedule (including idle), lazy vs dense.
 		for si := 0; si+1 < len(schedule); si += 2 {
 			holder := int(schedule[si])%(n+1) - 1 // -1..n-1
 			span := 1 + int64(schedule[si+1])%(2*spanBase(maxHold))
-			arb.TickN(holder, span)
+			if schedule[si]&0x80 == 0 {
+				arb.TickN(holder, span)
+			} else {
+				for c := int64(0); c < span; c++ {
+					arb.Tick(holder)
+				}
+			}
 			for c := int64(0); c < span; c++ {
 				ref.Tick(holder)
 			}
 			for i := 0; i < n; i++ {
-				if arb.Budget(i) != ref.Budget(i) {
-					t.Fatalf("TickN(%d,%d) diverged from Tick on master %d: %d vs %d",
-						holder, span, i, arb.Budget(i), ref.Budget(i))
+				if arb.Budget(i) != ref.budget[i] {
+					t.Fatalf("span (%d,%d) diverged from the dense reference on master %d: %d vs %d",
+						holder, span, i, arb.Budget(i), ref.budget[i])
+				}
+				if arb.Eligible(i) != ref.eligible(i) {
+					t.Fatalf("span (%d,%d): master %d eligible %v, dense %v", holder, span, i, arb.Eligible(i), ref.eligible(i))
 				}
 				if b := arb.Budget(i); b < 0 || b > arb.Cap(i) {
 					t.Fatalf("budget %d of master %d outside [0,%d]", b, i, arb.Cap(i))
 				}
 			}
-			if arb.Underflows() != ref.Underflows() {
-				t.Fatalf("underflow accounting diverged: %d vs %d", arb.Underflows(), ref.Underflows())
+			if arb.Underflows() != ref.underflows {
+				t.Fatalf("underflow accounting diverged: %d vs %d", arb.Underflows(), ref.underflows)
 			}
 		}
 	})

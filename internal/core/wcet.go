@@ -88,20 +88,16 @@ func (s *Signals) TuA() int { return s.tua }
 // Update advances the COMP latches for one cycle. tuaReady is REQ_tua: the
 // TuA has a request ready (pending and visible to the arbiter). In
 // operation mode COMP stays set and Update is a no-op.
+//
+// The latch sets for every contender whose budget is saturated, which is
+// exactly the arbiter's saturated set, so the update is a word-level OR of
+// that set into comp: O(masters/64). Including the TuA's own bit is
+// harmless because comp always has it set.
 func (s *Signals) Update(tuaReady bool) {
 	if s.mode == OperationMode || !tuaReady {
 		return
 	}
-	for i := 0; i < s.arb.Masters(); i++ {
-		if i == s.tua {
-			continue
-		}
-		// Latch: set when the contender's budget is saturated and the TuA
-		// has a request ready; stays set until the contender is granted.
-		if s.arb.Budget(i) >= s.arb.Cap(i) {
-			s.comp.Set(i)
-		}
-	}
+	s.comp.Or(s.arb.satBits)
 }
 
 // OnGrant clears the granted master's COMP latch (WCET mode only; in

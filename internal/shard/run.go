@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"sync"
 
 	"creditbus/internal/campaign"
 	"creditbus/internal/scenario"
@@ -17,9 +18,11 @@ const DefaultCheckpointEvery = 32768
 // Runner executes shards of a compiled campaign: chunked parallel
 // execution through the ordered campaign engine, streaming aggregation,
 // and (when a Store is attached) a checkpoint after every chunk plus
-// resume from the last one. One Runner is single-use-at-a-time per shard
-// but carries no cross-call state — resumability lives entirely in the
-// Store.
+// resume from the last one. Between calls a Runner keeps only the idle
+// per-worker execution pools of its finished chunks, which later chunks
+// and shards reuse instead of building fresh machines; pooled execution is
+// bit-identical to fresh (sim.Machine.Reuse), so this caches allocations,
+// not results — resumability lives entirely in the Store.
 type Runner struct {
 	// Campaign is the compiled campaign.
 	Campaign *Campaign
@@ -38,6 +41,9 @@ type Runner struct {
 	// Progress, when non-nil, observes (units done in shard, shard size)
 	// after every chunk.
 	Progress func(done, total int64)
+
+	mu   sync.Mutex
+	idle []*pools // per-worker pools of finished chunks, for reuse
 }
 
 func (r *Runner) chunk() int64 {
@@ -63,15 +69,36 @@ func (ps *pools) run(scen int, seed uint64) (sim.Result, error) {
 	return ps.p[scen].RunSeed(seed)
 }
 
+// lend hands a worker an idle pool set of this Runner's campaign, or a
+// fresh one, and records it in *lent for return when the chunk ends.
+func (r *Runner) lend(lent *[]*pools) *pools {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var ps *pools
+	for ps == nil && len(r.idle) > 0 {
+		ps = r.idle[len(r.idle)-1]
+		r.idle = r.idle[:len(r.idle)-1]
+		if ps.c != r.Campaign {
+			ps = nil // built for a campaign this Runner no longer runs
+		}
+	}
+	if ps == nil {
+		ps = &pools{c: r.Campaign, p: make([]*scenario.Pool, len(r.Campaign.Scenarios))}
+	}
+	*lent = append(*lent, ps)
+	return ps
+}
+
 // runChunk executes units [agg.Lo+agg.N, agg.Lo+agg.N+n) and folds them
 // into agg in unit order. Execution is parallel across r.Workers; the fold
 // is the ordered collection the campaign engine guarantees, so the
 // aggregate state is independent of the worker count.
 func (r *Runner) runChunk(agg *Agg, n int64) error {
 	lo := agg.Lo + agg.N
+	var lent []*pools
 	results, err := campaign.Do(campaign.Options[*pools]{
 		Workers:        r.Workers,
-		PerWorkerState: func() *pools { return &pools{c: r.Campaign, p: make([]*scenario.Pool, len(r.Campaign.Scenarios))} },
+		PerWorkerState: func() *pools { return r.lend(&lent) },
 	}, int(n), func(ps *pools, j int) (sim.Result, error) {
 		scen, seed, err := r.Campaign.Unit(lo + int64(j))
 		if err != nil {
@@ -79,6 +106,9 @@ func (r *Runner) runChunk(agg *Agg, n int64) error {
 		}
 		return ps.run(scen, seed)
 	})
+	r.mu.Lock()
+	r.idle = append(r.idle, lent...)
+	r.mu.Unlock()
 	if err != nil {
 		return err
 	}

@@ -219,6 +219,54 @@ func TestShardedByteIdentity(t *testing.T) {
 	}
 }
 
+// TestRunnerReusesPools runs every shard of a campaign through one Runner
+// that checkpoints after every unit, so each unit is its own chunk: the
+// merged report must still equal the single-process reference byte for
+// byte, and across all those chunks and shards the Runner must build at
+// most Workers pools per scenario — idle pools are handed to later chunks
+// instead of fresh machines.
+func TestRunnerReusesPools(t *testing.T) {
+	const units, shards, workers = 90, 3, 2
+	want := referenceBytes(t, testCampaign(t, units, 1, 20))
+	c := testCampaign(t, units, shards, 20)
+	st, err := Open(filepath.Join(t.TempDir(), "ckpt"), c.Manifest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &Runner{Campaign: c, Store: st, Workers: workers, CheckpointEvery: 1}
+	for i := 0; i < shards; i++ {
+		if _, complete, err := r.RunShard(i); err != nil || !complete {
+			t.Fatalf("shard %d: complete=%v err=%v", i, complete, err)
+		}
+	}
+	rep, err := MergeStore(c, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := rep.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("pooled one-unit chunks diverge from the reference:\n%s\nvs\n%s", got, want)
+	}
+	// Between calls every pool set the Runner ever built is idle.
+	if len(r.idle) > workers {
+		t.Errorf("runner built %d per-worker pool sets, want ≤ %d", len(r.idle), workers)
+	}
+	for scen := range c.Scenarios {
+		built := 0
+		for _, ps := range r.idle {
+			if ps.p[scen] != nil {
+				built++
+			}
+		}
+		if built == 0 || built > workers {
+			t.Errorf("scenario %d: runner built %d pools, want 1..%d", scen, built, workers)
+		}
+	}
+}
+
 // TestKillAndResume stops a shard mid-range (budgeted stop — the in-process
 // stand-in for SIGKILL between checkpoints; the CLI suite kills real
 // processes), restarts it from the checkpoint, and demands the merged
