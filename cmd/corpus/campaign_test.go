@@ -14,10 +14,10 @@ import (
 	"time"
 )
 
-// megaCampaignSpec builds a campaign spec file of the given unit count:
+// writeMegaCampaign builds a campaign spec file of the given unit count:
 // two minimal scenarios with unequal seed schedules, so the unit mapping
 // crosses a scenario boundary.
-func megaCampaignSpec(t *testing.T, dir string, units int64) string {
+func writeMegaCampaign(t *testing.T, dir string, units int64) string {
 	t.Helper()
 	a := units * 2 / 3
 	spec := fmt.Sprintf(`{
@@ -97,7 +97,7 @@ func TestShardedMegaCampaignProcesses(t *testing.T) {
 	}
 	const units = 1_000_002
 	base := t.TempDir()
-	specPath := megaCampaignSpec(t, base, units)
+	specPath := writeMegaCampaign(t, base, units)
 
 	// Single-process reference, no checkpoints.
 	refPath := filepath.Join(base, "ref.json")
@@ -174,7 +174,7 @@ func TestShardKillResume(t *testing.T) {
 	}
 	const units = 120_000
 	base := t.TempDir()
-	specPath := megaCampaignSpec(t, base, units)
+	specPath := writeMegaCampaign(t, base, units)
 
 	refPath := filepath.Join(base, "ref.json")
 	runWorker(t, "-campaign", specPath, "-reference", "-report", refPath)

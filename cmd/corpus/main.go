@@ -133,7 +133,7 @@ func run(args []string, stdout io.Writer) error {
 		len(jobs), func(_ struct{}, i int) (sim.Result, error) {
 			j := jobs[i]
 			if j.engineOverride {
-				return j.spec.RunSeedEngine(j.seed, j.perCycle)
+				return j.spec.RunSeedProbed(j.seed, j.perCycle, nil)
 			}
 			return j.spec.RunSeed(j.seed)
 		})

@@ -298,7 +298,7 @@ func measureAlloc(reuse bool) (Alloc, error) {
 		if reuse {
 			// Warm-up outside the measurement: the first run builds the
 			// machine the steady state recycles.
-			if _, err := rn.MaxContention(cfg, prog, 0); err != nil {
+			if _, err := rn.MaxContention(cfg, prog, 0, nil); err != nil {
 				runErr = err
 				b.SkipNow()
 				return
@@ -310,7 +310,7 @@ func measureAlloc(reuse bool) (Alloc, error) {
 			p, _ := cpu.TryClone(prog)
 			var err error
 			if reuse {
-				_, err = rn.MaxContention(cfg, p, uint64(i))
+				_, err = rn.MaxContention(cfg, p, uint64(i), nil)
 			} else {
 				_, err = sim.RunMaxContention(cfg, p, uint64(i))
 			}

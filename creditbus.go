@@ -206,28 +206,28 @@ func (c Campaign) CollectMaxContention(cfg Config, prog Program, runs int, seed 
 	if runs <= 0 {
 		return nil, fmt.Errorf("creditbus: runs = %d", runs)
 	}
-	spec := campaign.Spec{
-		Config:   cfg,
-		Runs:     runs,
-		BaseSeed: seed,
-		Workers:  c.Workers,
-		Progress: c.Progress,
+	opts := campaign.Options[*sim.Runner]{
+		Workers:        c.Workers,
+		Progress:       c.Progress,
+		PerWorkerState: func() *sim.Runner { return new(sim.Runner) },
 	}
-	if _, ok := cpu.TryClone(prog); ok {
-		spec.Build = func(int) Program {
-			p, _ := cpu.TryClone(prog)
-			return p
-		}
-	} else {
+	instance := func() Program {
+		p, _ := cpu.TryClone(prog)
+		return p
+	}
+	if _, ok := cpu.TryClone(prog); !ok {
 		// No independent instances available: run serially, rewinding the
 		// shared program between runs exactly as the historical loop did.
-		spec.Workers = 1
-		spec.Build = func(int) Program {
+		opts.Workers = 1
+		instance = func() Program {
 			prog.Reset()
 			return prog
 		}
 	}
-	return spec.MaxContention()
+	return campaign.Do(opts, runs, func(rn *sim.Runner, r int) (float64, error) {
+		res, err := rn.MaxContention(cfg, instance(), seed+uint64(r)*campaign.SeedStride, nil)
+		return float64(res.TaskCycles), err
+	})
 }
 
 // CollectMaxContention runs a workload under maximum contention `runs`

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"creditbus"
+	"creditbus/internal/campaign"
 	"creditbus/internal/exp"
 )
 
@@ -33,9 +34,32 @@ func TestCampaignDeterminismCollectMaxContention(t *testing.T) {
 	cfg.Credit.Kind = creditbus.CreditCBA
 	const runs, seed = 24, 20170327
 
+	// The historical serial protocol: one shared program, Reset per run,
+	// golden-ratio seed stride.
+	prog := testWorkload(t)
+	want := make([]float64, runs)
+	for r := range want {
+		prog.Reset()
+		res, err := creditbus.RunMaxContention(cfg, prog, seed+uint64(r)*campaign.SeedStride)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[r] = float64(res.TaskCycles)
+	}
+	varied := false
+	for _, v := range want {
+		varied = varied || v != want[0]
+	}
+	if !varied {
+		t.Fatal("all runs identical: contention randomness not exercised")
+	}
+
 	serial, err := creditbus.Campaign{Workers: 1}.CollectMaxContention(cfg, testWorkload(t), runs, seed)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(serial, want) {
+		t.Fatalf("serial campaign diverges from the historical loop:\n got %v\nwant %v", serial, want)
 	}
 	parallel, err := creditbus.Campaign{Workers: 4}.CollectMaxContention(cfg, testWorkload(t), runs, seed)
 	if err != nil {

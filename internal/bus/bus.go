@@ -280,9 +280,6 @@ func (b *Bus) Masters() int { return b.cfg.Masters }
 // Busy reports whether a transaction currently holds the bus.
 func (b *Bus) Busy() bool { return b.holder >= 0 }
 
-// Holder returns the master holding the bus, or -1.
-func (b *Bus) Holder() int { return b.holder }
-
 // CanPost reports whether master m may post a request: at most one
 // not-yet-granted request per master. A master may post while its current
 // transaction still holds the bus — the AMBA request line stays asserted
@@ -291,9 +288,6 @@ func (b *Bus) Holder() int { return b.holder }
 func (b *Bus) CanPost(m int) bool {
 	return m >= 0 && m < b.cfg.Masters && !b.pending.Test(m)
 }
-
-// Pending reports whether master m has a posted, not-yet-granted request.
-func (b *Bus) Pending(m int) bool { return b.pending.Test(m) }
 
 // PendingWords exposes the pending set's backing words (read-only for the
 // caller). The machine's injector layer diffs its injector bitset against

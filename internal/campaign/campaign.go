@@ -3,19 +3,15 @@
 // (§III.B) collects on the order of 1,000 maximum-contention runs per
 // benchmark for the MBPTA/EVT fit; each run is an independent simulation
 // with its own derived seed, so a campaign is embarrassingly parallel —
-// provided no two runs share mutable state. The engine enforces exactly
-// that: every run gets its own platform (sim.Machine) and its own program
-// instance from a factory, and results are aggregated in run order, so a
+// provided no two runs share mutable state. Callers give every run its own
+// program instance and every worker its own platform (a *sim.Runner as the
+// per-worker state), and results are aggregated in run order, so a
 // parallel campaign's output is bit-identical to the serial loop it
 // replaces.
 //
-// Two layers are provided:
-//
-//   - Run, the generic ordered worker pool: fan any indexed job set out
-//     across goroutines, collect results in index order, report progress;
-//   - Spec, the simulation-level campaign: a platform Config, a program
-//     factory, a seed schedule and a scenario, collected into the ordered
-//     sample vector the MBPTA pipeline consumes.
+// One Options value drives both execution shapes: Do, a finite campaign
+// over an indexed run set, and Options.NewPool, the same worker model as a
+// long-running service Pool.
 package campaign
 
 import (
@@ -34,48 +30,24 @@ type Progress func(done, total int)
 // the process's GOMAXPROCS, i.e. one worker per schedulable CPU.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// Run executes fn(0), fn(1), ... fn(runs-1) across a pool of workers and
-// returns the results ordered by run index.
-//
-// Deprecated: use Do with Options — Run(runs, w, p, fn) is
-// Do(Options[struct{}]{Workers: w, Progress: p}, runs, …). Kept as a thin
-// wrapper for external callers; in-tree code has migrated.
-func Run[T any](runs, workers int, progress Progress, fn func(run int) (T, error)) ([]T, error) {
-	if fn == nil {
-		return nil, fmt.Errorf("campaign: nil run function")
-	}
-	return Do(Options[struct{}]{Workers: workers, Progress: progress},
-		runs, func(_ struct{}, run int) (T, error) { return fn(run) })
-}
-
-// RunPooled is Run with per-worker reusable state.
-//
-// Deprecated: use Do with Options — RunPooled(runs, w, p, ns, fn) is
-// Do(Options[S]{Workers: w, Progress: p, PerWorkerState: ns}, runs, fn).
-// Kept as a thin wrapper for external callers; in-tree code has migrated.
-func RunPooled[S, T any](runs, workers int, progress Progress, newState func() S, fn func(state S, run int) (T, error)) ([]T, error) {
-	if newState == nil {
-		return nil, fmt.Errorf("campaign: nil state factory")
-	}
-	return Do(Options[S]{Workers: workers, Progress: progress, PerWorkerState: newState}, runs, fn)
-}
-
-// execute is the ordered worker-pool core behind Do: per-worker reusable
-// state from newState, index-ordered result collection, lowest-indexed
-// error, serialised progress. With workers ≤ 1 the runs execute serially on
-// the calling goroutine with a single state value and no goroutine
-// machinery.
-func execute[S, T any](runs, workers int, progress Progress, newState func() S, fn func(state S, run int) (T, error)) ([]T, error) {
+// Do executes fn(state, 0) … fn(state, runs-1) under the options and returns
+// the results ordered by run index — the one campaign entry point. Each
+// worker receives its own PerWorkerState() value and keeps it across its
+// whole run slice; results are collected in index order, so the output is
+// bit-identical to the serial loop whenever fn is history-insensitive (see
+// Options.PerWorkerState). On failure Do reports the error of the
+// lowest-indexed failed run and stops dispatching new runs. With Workers
+// = 1 the runs execute serially on the calling goroutine with a single
+// state value and no goroutine machinery.
+func Do[S, T any](opts Options[S], runs int, fn func(state S, run int) (T, error)) ([]T, error) {
 	if runs < 0 {
 		return nil, fmt.Errorf("campaign: runs = %d", runs)
 	}
 	if fn == nil {
 		return nil, fmt.Errorf("campaign: nil run function")
 	}
-	if newState == nil {
-		return nil, fmt.Errorf("campaign: nil state factory")
-	}
 	out := make([]T, runs)
+	workers, newState := opts.Workers, opts.state()
 	if workers <= 0 {
 		workers = DefaultWorkers()
 	}
@@ -91,8 +63,8 @@ func execute[S, T any](runs, workers int, progress Progress, newState func() S, 
 				return nil, fmt.Errorf("campaign: run %d: %w", r, err)
 			}
 			out[r] = v
-			if progress != nil {
-				progress(r+1, runs)
+			if opts.Progress != nil {
+				opts.Progress(r+1, runs)
 			}
 		}
 		return out, nil
@@ -132,8 +104,8 @@ func execute[S, T any](runs, workers int, progress Progress, newState func() S, 
 				out[r] = v // disjoint index per worker iteration
 				mu.Lock()
 				done++
-				if progress != nil {
-					progress(done, runs)
+				if opts.Progress != nil {
+					opts.Progress(done, runs)
 				}
 				mu.Unlock()
 			}
@@ -152,8 +124,3 @@ func execute[S, T any](runs, workers int, progress Progress, newState func() S, 
 // per-run seeds, kept so parallel campaigns reproduce historical sample
 // vectors exactly.
 const SeedStride = 0x9e3779b97f4a7c15
-
-// StrideSeeds returns the default seed schedule: base + run·SeedStride.
-func StrideSeeds(base uint64) func(run int) uint64 {
-	return func(run int) uint64 { return base + uint64(run)*SeedStride }
-}

@@ -1,8 +1,6 @@
 package campaign
 
-// Options is the single configuration surface for campaign execution — the
-// options-struct redesign that unifies what used to be three entry points
-// (Run, RunPooled, NewPool) differing only in which knobs they exposed. One
+// Options is the single configuration surface for campaign execution. One
 // value of Options[S] describes how work is executed: how many workers, what
 // reusable per-worker state they carry, how deep the job queue is when the
 // pool runs in service form, and who observes progress. The two execution
@@ -47,23 +45,4 @@ func (o Options[S]) state() func() S {
 		return o.PerWorkerState
 	}
 	return func() S { var zero S; return zero }
-}
-
-// Do executes fn(state, 0) … fn(state, runs-1) under the options and returns
-// the results ordered by run index — the unified campaign entry point. Each
-// worker receives its own PerWorkerState() value and keeps it across its
-// whole run slice; results are collected in index order, so the output is
-// bit-identical to the serial loop whenever fn is history-insensitive (see
-// Options.PerWorkerState). On failure Do reports the error of the
-// lowest-indexed failed run and stops dispatching new runs.
-func Do[S, T any](opts Options[S], runs int, fn func(state S, run int) (T, error)) ([]T, error) {
-	return execute(runs, opts.Workers, opts.Progress, opts.state(), fn)
-}
-
-// NewPool starts the long-running service form of the options: Workers
-// goroutines, each carrying one PerWorkerState() value, draining a job
-// queue of capacity Queue until Close. See Pool for the submission and
-// backpressure contract.
-func (o Options[S]) NewPool() (*Pool[S], error) {
-	return newPool(o.Workers, o.Queue, o.state())
 }

@@ -31,23 +31,31 @@ func TestDoMatchesSerial(t *testing.T) {
 }
 
 // TestDoPerWorkerState checks each worker receives exactly one state value
-// and carries it across its run slice.
+// and carries it across its run slice — the serial path exactly one in
+// total — while results stay index-ordered.
 func TestDoPerWorkerState(t *testing.T) {
-	var built atomic.Int64
 	type state struct{ uses int }
-	const runs, workers = 100, 4
-	_, err := Do(Options[*state]{
-		Workers:        workers,
-		PerWorkerState: func() *state { built.Add(1); return &state{} },
-	}, runs, func(s *state, r int) (int, error) {
-		s.uses++
-		return s.uses, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b := built.Load(); b < 1 || b > workers {
-		t.Fatalf("built %d states for %d workers", b, workers)
+	const runs = 100
+	for _, workers := range []int{1, 4} {
+		var built atomic.Int64
+		got, err := Do(Options[*state]{
+			Workers:        workers,
+			PerWorkerState: func() *state { built.Add(1); return &state{} },
+		}, runs, func(s *state, r int) (int, error) {
+			s.uses++ // per-worker mutation must be race-free
+			return r * r, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, v := range got {
+			if v != r*r {
+				t.Fatalf("workers=%d: run %d = %d", workers, r, v)
+			}
+		}
+		if b := built.Load(); b < 1 || b > int64(workers) {
+			t.Fatalf("workers=%d: built %d states", workers, b)
+		}
 	}
 }
 
@@ -85,41 +93,6 @@ func TestDoErrors(t *testing.T) {
 	})
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
-	}
-}
-
-// TestDeprecatedTrioDelegates: the legacy entry points remain thin wrappers
-// with unchanged behaviour.
-func TestDeprecatedTrioDelegates(t *testing.T) {
-	got, err := Run(5, 2, nil, func(r int) (int, error) { return r + 1, nil }) //nolint:staticcheck
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r, v := range got {
-		if v != r+1 {
-			t.Fatalf("Run: run %d = %d", r, v)
-		}
-	}
-	got, err = RunPooled(5, 2, nil, func() int { return 10 }, //nolint:staticcheck
-		func(s, r int) (int, error) { return s + r, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r, v := range got {
-		if v != 10+r {
-			t.Fatalf("RunPooled: run %d = %d", r, v)
-		}
-	}
-	if _, err := RunPooled[int, int](5, 2, nil, nil, nil); err == nil { //nolint:staticcheck
-		t.Fatal("nil state factory must fail")
-	}
-	p, err := NewPool(2, 1, func() struct{} { return struct{}{} }) //nolint:staticcheck
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Close()
-	if _, err := NewPool[int](2, 1, nil); err == nil { //nolint:staticcheck
-		t.Fatal("NewPool nil state factory must fail")
 	}
 }
 

@@ -48,29 +48,20 @@ type Pool[S any] struct {
 	closed bool
 }
 
-// NewPool starts workers goroutines (DefaultWorkers when ≤ 0), each with
-// its own newState() result, over a job queue of the given capacity.
-//
-// Deprecated: use Options[S]{Workers: workers, Queue: queue,
-// PerWorkerState: newState}.NewPool(). Kept as a thin wrapper for external
-// callers; in-tree code has migrated.
-func NewPool[S any](workers, queue int, newState func() S) (*Pool[S], error) {
-	if newState == nil {
-		return nil, fmt.Errorf("campaign: nil state factory")
+// NewPool starts the long-running service form of the options: Workers
+// goroutines (DefaultWorkers when ≤ 0), each carrying one PerWorkerState()
+// value, draining a job queue of capacity Queue until Close. A zero queue
+// capacity still admits jobs whenever a worker is ready to receive. See
+// Pool for the submission and backpressure contract.
+func (o Options[S]) NewPool() (*Pool[S], error) {
+	if o.Queue < 0 {
+		return nil, fmt.Errorf("campaign: queue capacity = %d", o.Queue)
 	}
-	return newPool(workers, queue, newState)
-}
-
-// newPool is the core behind Options.NewPool. A zero queue capacity still
-// admits jobs whenever a worker is ready to receive.
-func newPool[S any](workers, queue int, newState func() S) (*Pool[S], error) {
-	if queue < 0 {
-		return nil, fmt.Errorf("campaign: queue capacity = %d", queue)
-	}
+	workers, newState := o.Workers, o.state()
 	if workers <= 0 {
 		workers = DefaultWorkers()
 	}
-	p := &Pool[S]{jobs: make(chan func(S), queue), workers: workers}
+	p := &Pool[S]{jobs: make(chan func(S), o.Queue), workers: workers}
 	for w := 0; w < workers; w++ {
 		p.wg.Add(1)
 		go func() {

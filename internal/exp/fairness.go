@@ -155,7 +155,7 @@ func FairnessComparison(opts Options) ([]FairnessRow, error) {
 			}
 			mon := stats.NewFairness(cfgs[ci].Cores, FairnessWindow, FairnessWeights)
 			var lastEnd int64
-			res, err := rn.WorkloadsObserved(cfgs[ci], programs, seed, func(ev bus.GrantEvent) {
+			res, err := rn.Workloads(cfgs[ci], programs, seed, nil, func(ev bus.GrantEvent) {
 				mon.OnGrant(ev.Master, ev.Cycle, ev.Hold)
 				if end := ev.Cycle + ev.Hold; end > lastEnd {
 					lastEnd = end

@@ -126,7 +126,7 @@ func fig1Campaign(opts Options, specs []workload.Spec) ([]Fig1Row, error) {
 			if setups[ci].contention {
 				scenario = (*sim.Runner).MaxContention
 			}
-			res, err := scenario(rn, setups[ci].cfg, prog, seed)
+			res, err := scenario(rn, setups[ci].cfg, prog, seed, nil)
 			if err != nil {
 				return 0, fmt.Errorf("exp: %s/%s run %d: %w", specs[bi].Name, Fig1Configs[ci], r, err)
 			}

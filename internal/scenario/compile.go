@@ -129,9 +129,6 @@ type Compiled struct {
 	// slice, fresh cursor), so building the trace happens once per
 	// scenario instead of once per run.
 	protos []cpu.Program
-	// sources remembers each core's Workload entry for the defensive
-	// rebuild path when a prototype is not cloneable.
-	sources []*Workload
 }
 
 // Compile validates the spec and resolves everything executable about it.
@@ -143,17 +140,15 @@ func (s Spec) Compile() (*Compiled, error) {
 	cfg := s.config()
 	tua, _ := s.tua()
 	c := &Compiled{
-		Spec:    s,
-		Config:  cfg,
-		Seeds:   s.Seeds.Expand(),
-		tua:     tua,
-		protos:  make([]cpu.Program, cfg.Cores),
-		sources: make([]*Workload, cfg.Cores),
+		Spec:   s,
+		Config: cfg,
+		Seeds:  s.Seeds.Expand(),
+		tua:    tua,
+		protos: make([]cpu.Program, cfg.Cores),
 	}
 	for i := range s.Workloads {
 		w := &s.Workloads[i]
 		c.protos[w.Core] = buildProgram(w)
-		c.sources[w.Core] = w
 	}
 	// Populations expand to per-member Workload entries with derived seeds.
 	// Members of the same population running the same workload at different
@@ -164,15 +159,15 @@ func (s Spec) Compile() (*Compiled, error) {
 		for core := p.FromCore; core <= p.ToCore; core++ {
 			w := p.member(core)
 			c.protos[core] = buildProgram(&w)
-			c.sources[core] = &w
 		}
 	}
 	return c, nil
 }
 
-// buildProgram instantiates one Workload entry's program. It cannot fail:
-// the only way it could, an unknown workload name, is a Validate error, so
-// it is only ever called on a validated spec.
+// buildProgram instantiates one Workload entry's program: a trace, or a
+// looped trace, both of which clone. It cannot fail: the only way it could,
+// an unknown workload name, is a Validate error, so it is only ever called
+// on a validated spec.
 func buildProgram(w *Workload) cpu.Program {
 	spec, _ := workload.ByName(w.Name)
 	seed := w.Seed
@@ -195,17 +190,13 @@ func (c *Compiled) TuA() int { return c.tua }
 
 // Program returns a fresh instance of the program on the given core, or
 // nil for an idle core. Fresh per call: machines consume the program
-// cursor, so parallel runs must never share an instance. The fast path is
-// a clone of the compile-time prototype (every bundled workload clones);
-// a non-cloneable program is rebuilt from its spec entry.
+// cursor, so parallel runs must never share an instance. The instance is a
+// clone of the compile-time prototype, which buildProgram makes cloneable.
 func (c *Compiled) Program(core int) cpu.Program {
 	if core < 0 || core >= len(c.protos) || c.protos[core] == nil {
 		return nil
 	}
-	if p, ok := cpu.TryClone(c.protos[core]); ok {
-		return p
-	}
-	return buildProgram(c.sources[core])
+	return c.protos[core].(cpu.Cloner).Clone()
 }
 
 // Programs builds a fresh full per-core program vector.
@@ -217,16 +208,10 @@ func (c *Compiled) Programs() []cpu.Program {
 	return out
 }
 
-// RunSeed executes one run on the spec's configured engine.
+// RunSeed executes one run on a fresh machine, on the spec's configured
+// engine.
 func (c *Compiled) RunSeed(seed uint64) (sim.Result, error) {
-	return c.runSeed(c.Config, seed, nil)
-}
-
-// RunSeedEngine executes one run with an explicit engine choice,
-// overriding the spec — the corpus equivalence test drives both engines
-// over every scenario with this.
-func (c *Compiled) RunSeedEngine(seed uint64, perCycle bool) (sim.Result, error) {
-	return c.RunSeedProbed(seed, perCycle, nil)
+	return c.RunSeedRunner(new(sim.Runner), seed)
 }
 
 // RunSeedRunner executes one run on an externally owned recycled Runner —
@@ -236,40 +221,46 @@ func (c *Compiled) RunSeedEngine(seed uint64, perCycle bool) (sim.Result, error)
 // Programs are fresh clones per call, so any number of goroutines may run
 // one shared Compiled concurrently as long as each owns its Runner.
 func (c *Compiled) RunSeedRunner(rn *sim.Runner, seed uint64) (sim.Result, error) {
-	cfg := c.Config
-	switch c.Spec.Run {
-	case RunIsolation:
-		return rn.IsolationProbed(cfg, c.Program(c.tua), seed, nil)
-	case RunWCET:
-		return rn.MaxContentionProbed(cfg, c.Program(c.tua), seed, nil)
-	case RunWorkloads:
-		return rn.WorkloadsProbed(cfg, c.Programs(), seed, nil)
-	default:
-		return sim.Result{}, fmt.Errorf("scenario: unknown run kind %q", c.Spec.Run)
-	}
+	return c.run(rn, c.Config, nil, seed, nil)
 }
 
-// RunSeedProbed executes one run with an explicit engine choice and a
-// step-granularity observer — the hook internal/scengen's invariant oracles
-// use to watch budgets and bus conservation at every observation point. A
-// nil probe makes it exactly RunSeedEngine.
+// RunSeedProbed executes one run on a fresh machine with an explicit engine
+// choice, overriding the spec, and a step-granularity observer — the hook
+// internal/scengen's invariant oracles use to watch budgets and bus
+// conservation at every observation point. The probe may be nil; the
+// corpus equivalence test drives both engines over every scenario this way.
 func (c *Compiled) RunSeedProbed(seed uint64, perCycle bool, probe sim.Probe) (sim.Result, error) {
 	cfg := c.Config
 	cfg.ForcePerCycle = perCycle
-	return c.runSeed(cfg, seed, probe)
+	return c.run(new(sim.Runner), cfg, nil, seed, probe)
 }
 
-func (c *Compiled) runSeed(cfg sim.Config, seed uint64, probe sim.Probe) (sim.Result, error) {
+// run executes one run of the spec's kind on rn: the single-program kinds
+// run the TuA's entry of progs, workloads runs the whole vector. A nil
+// progs means fresh clones, made only for the cores the kind runs.
+func (c *Compiled) run(rn *sim.Runner, cfg sim.Config, progs []cpu.Program, seed uint64, probe sim.Probe) (sim.Result, error) {
 	switch c.Spec.Run {
 	case RunIsolation:
-		return sim.RunIsolationProbed(cfg, c.Program(c.tua), seed, probe)
+		return rn.Isolation(cfg, c.tuaProgram(progs), seed, probe)
 	case RunWCET:
-		return sim.RunMaxContentionProbed(cfg, c.Program(c.tua), seed, probe)
+		return rn.MaxContention(cfg, c.tuaProgram(progs), seed, probe)
 	case RunWorkloads:
-		return sim.RunWorkloadsProbed(cfg, c.Programs(), seed, probe)
+		if progs == nil {
+			progs = c.Programs()
+		}
+		return rn.Workloads(cfg, progs, seed, probe, nil)
 	default:
 		return sim.Result{}, fmt.Errorf("scenario: unknown run kind %q", c.Spec.Run)
 	}
+}
+
+// tuaProgram returns the TuA's entry of progs, or a fresh clone when progs
+// is nil.
+func (c *Compiled) tuaProgram(progs []cpu.Program) cpu.Program {
+	if progs == nil {
+		return c.Program(c.tua)
+	}
+	return progs[c.tua]
 }
 
 // Pool is one worker's reusable execution state for a compiled scenario: a
@@ -290,11 +281,7 @@ type Pool struct {
 // NewPool builds a reusable execution state: one program instance per
 // participating core.
 func (c *Compiled) NewPool() *Pool {
-	p := &Pool{c: c, progs: make([]cpu.Program, len(c.protos))}
-	for i := range c.protos {
-		p.progs[i] = c.Program(i)
-	}
-	return p
+	return &Pool{c: c, progs: c.Programs()}
 }
 
 // rewind readies every program for the next run. The Program contract
@@ -310,30 +297,16 @@ func (p *Pool) rewind() {
 // RunSeed executes one run on the pool's recycled machine, on the spec's
 // configured engine.
 func (p *Pool) RunSeed(seed uint64) (sim.Result, error) {
-	cfg := p.c.Config
-	return p.runSeed(cfg, seed, nil)
+	return p.RunSeedProbed(seed, p.c.Config.ForcePerCycle, nil)
 }
 
 // RunSeedProbed is the pool's counterpart of Compiled.RunSeedProbed: an
 // explicit engine choice and a step-granularity observer.
 func (p *Pool) RunSeedProbed(seed uint64, perCycle bool, probe sim.Probe) (sim.Result, error) {
+	p.rewind()
 	cfg := p.c.Config
 	cfg.ForcePerCycle = perCycle
-	return p.runSeed(cfg, seed, probe)
-}
-
-func (p *Pool) runSeed(cfg sim.Config, seed uint64, probe sim.Probe) (sim.Result, error) {
-	p.rewind()
-	switch p.c.Spec.Run {
-	case RunIsolation:
-		return p.rn.IsolationProbed(cfg, p.progs[p.c.tua], seed, probe)
-	case RunWCET:
-		return p.rn.MaxContentionProbed(cfg, p.progs[p.c.tua], seed, probe)
-	case RunWorkloads:
-		return p.rn.WorkloadsProbed(cfg, p.progs, seed, probe)
-	default:
-		return sim.Result{}, fmt.Errorf("scenario: unknown run kind %q", p.c.Spec.Run)
-	}
+	return p.c.run(&p.rn, cfg, p.progs, seed, probe)
 }
 
 // Results executes the whole seed schedule through the campaign engine and
@@ -349,29 +322,4 @@ func (c *Compiled) Results(workers int, progress campaign.Progress) ([]sim.Resul
 		func(p *Pool, r int) (sim.Result, error) {
 			return p.RunSeed(c.Seeds[r])
 		})
-}
-
-// CampaignSpec adapts an isolation or wcet scenario onto campaign.Spec —
-// the sample-vector protocol the MBPTA pipeline consumes. Returns an error
-// for workloads runs, whose per-core program vector does not fit the
-// single-program campaign scenario shape (use Results instead).
-func (c *Compiled) CampaignSpec(workers int, progress campaign.Progress) (campaign.Spec, campaign.Scenario, error) {
-	var run campaign.Scenario
-	switch c.Spec.Run {
-	case RunIsolation:
-		run = sim.RunIsolation
-	case RunWCET:
-		run = sim.RunMaxContention
-	default:
-		return campaign.Spec{}, nil, fmt.Errorf("scenario: %s runs have no single-program campaign form", c.Spec.Run)
-	}
-	seeds := c.Seeds
-	return campaign.Spec{
-		Config:   c.Config,
-		Build:    func(int) cpu.Program { return c.Program(c.tua) },
-		Runs:     len(seeds),
-		Seed:     func(r int) uint64 { return seeds[r] },
-		Workers:  workers,
-		Progress: progress,
-	}, run, nil
 }

@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"creditbus/internal/cpu"
 	"creditbus/internal/sim"
+	"creditbus/internal/workload"
 )
 
 // popSpec returns a valid workloads spec with one population, for tests to
@@ -121,24 +123,47 @@ func TestMaxCoresValidation(t *testing.T) {
 	}
 }
 
+// firstOps drains up to n operations from p.
+func firstOps(p cpu.Program, n int) []cpu.Op {
+	var ops []cpu.Op
+	for len(ops) < n {
+		op, ok := p.Next()
+		if !ok {
+			break
+		}
+		ops = append(ops, op)
+	}
+	return ops
+}
+
 func TestPopulationExpansion(t *testing.T) {
+	stream, ok := workload.ByName("stream")
+	if !ok {
+		t.Fatal("missing workload stream")
+	}
+	// checkMember asserts core's member entry derives wantSeed and that the
+	// compiled program on core is the stream trace built at that seed.
+	checkMember := func(c *Compiled, p Population, core int, wantSeed uint64) {
+		t.Helper()
+		if w := p.member(core); w.Name != "stream" || !w.Loop || w.Seed != wantSeed {
+			t.Fatalf("core %d member = %+v, want stream looped at seed %d", core, w, wantSeed)
+		}
+		prog := c.Program(core)
+		if prog == nil {
+			t.Fatalf("population member core %d got no program", core)
+		}
+		if got, want := firstOps(prog, 64), firstOps(stream.Build(wantSeed), 64); !reflect.DeepEqual(got, want) {
+			t.Fatalf("core %d program is not stream at seed %d", core, wantSeed)
+		}
+	}
+
 	s := popSpec()
 	c, err := s.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for core := 1; core <= 6; core++ {
-		if c.Program(core) == nil {
-			t.Fatalf("population member core %d got no program", core)
-		}
-		src := c.sources[core]
-		if src == nil || src.Name != "stream" || !src.Loop {
-			t.Fatalf("core %d source = %+v", core, src)
-		}
-		wantSeed := uint64(5 + (core-1)*2)
-		if src.Seed != wantSeed {
-			t.Fatalf("core %d seed = %d, want %d", core, src.Seed, wantSeed)
-		}
+		checkMember(c, s.Populations[0], core, uint64(5+(core-1)*2))
 	}
 	if c.Program(7) != nil {
 		t.Fatal("core outside the population got a program")
@@ -151,9 +176,7 @@ func TestPopulationExpansion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.sources[4].Seed; got != 4 {
-		t.Fatalf("default-seed member on core 4 has seed %d, want 4", got)
-	}
+	checkMember(c, s.Populations[0], 4, 4)
 }
 
 func TestPopulationLotteryTickets(t *testing.T) {
@@ -184,11 +207,11 @@ func TestPopulationRunsBothEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := c.RunSeedEngine(3, false)
+	fast, err := c.RunSeedProbed(3, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := c.RunSeedEngine(3, true)
+	ref, err := c.RunSeedProbed(3, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func TestReuseDifferential(t *testing.T) {
 			pool := c.NewPool()
 			for _, perCycle := range []bool{false, true} {
 				for _, seed := range c.Seeds {
-					fresh, err := c.RunSeedEngine(seed, perCycle)
+					fresh, err := c.RunSeedProbed(seed, perCycle, nil)
 					if err != nil {
 						t.Fatalf("seed %d percycle=%v (fresh): %v", seed, perCycle, err)
 					}

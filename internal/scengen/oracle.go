@@ -82,7 +82,7 @@ func checkSeed(c *scenario.Compiled, pool *scenario.Pool, seed uint64, warm bool
 	}
 	out = append(out, obs.violations(seed)...)
 
-	slow, err := c.RunSeedEngine(seed, true)
+	slow, err := c.RunSeedProbed(seed, true, nil)
 	if err != nil {
 		return append(out, Violation{"run", seed, fmt.Sprintf("per-cycle engine: %v", err)})
 	}

@@ -164,7 +164,7 @@ func TestMetamorphicOracleDetectsDoctoredResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	seed := c.Seeds[0]
-	real, err := c.RunSeedEngine(seed, false)
+	real, err := c.RunSeedProbed(seed, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

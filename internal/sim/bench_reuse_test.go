@@ -42,14 +42,14 @@ func BenchmarkMachineRunFresh(b *testing.B) {
 func BenchmarkMachineRunReused(b *testing.B) {
 	cfg, proto := benchRunSetup(b)
 	var rn Runner
-	if _, err := rn.MaxContention(cfg, proto.Clone(), 0); err != nil { // warm-up
+	if _, err := rn.MaxContention(cfg, proto.Clone(), 0, nil); err != nil { // warm-up
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		prog, _ := cpu.TryClone(proto)
-		if _, err := rn.MaxContention(cfg, prog, uint64(i)); err != nil {
+		if _, err := rn.MaxContention(cfg, prog, uint64(i), nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -143,7 +143,7 @@ func (m *Machine) Bus() *bus.Bus { return m.sharedBus }
 // SetGrantObserver installs (or, with nil, removes) a callback invoked for
 // every bus grant — the hook the fairness instrumentation hangs off.
 // Machine.Reuse rebuilds the bus configuration without an observer, so the
-// callback must be reinstalled after every Reuse (Runner.WorkloadsObserved
+// callback must be reinstalled after every Reuse (Runner.Workloads
 // does exactly that).
 func (m *Machine) SetGrantObserver(fn func(bus.GrantEvent)) { m.sharedBus.SetOnGrant(fn) }
 

@@ -73,7 +73,7 @@ func TestReuseDifferentialSim(t *testing.T) {
 				prog := func() cpu.Program { return diffPrograms(t, "cacheb") }
 
 				fresh, ferr := RunMaxContention(cfg, prog(), seed)
-				reused, rerr := rn.MaxContention(cfg, prog(), seed)
+				reused, rerr := rn.MaxContention(cfg, prog(), seed, nil)
 				if (ferr == nil) != (rerr == nil) {
 					t.Fatalf("%s/%s wcet: fresh err %v, reused err %v", cfg.Policy, cfg.Credit.Kind, ferr, rerr)
 				}
@@ -83,7 +83,7 @@ func TestReuseDifferentialSim(t *testing.T) {
 				}
 
 				fresh, ferr = RunIsolation(cfg, prog(), seed)
-				reused, rerr = rn.Isolation(cfg, prog(), seed)
+				reused, rerr = rn.Isolation(cfg, prog(), seed, nil)
 				if (ferr == nil) != (rerr == nil) {
 					t.Fatalf("%s/%s iso: fresh err %v, reused err %v", cfg.Policy, cfg.Credit.Kind, ferr, rerr)
 				}
@@ -102,7 +102,7 @@ func TestReuseDifferentialSim(t *testing.T) {
 					return ps
 				}
 				fresh, ferr = RunWorkloads(cfg, workloads(), seed)
-				reused, rerr = rn.Workloads(cfg, workloads(), seed)
+				reused, rerr = rn.Workloads(cfg, workloads(), seed, nil, nil)
 				if (ferr == nil) != (rerr == nil) {
 					t.Fatalf("%s/%s workloads: fresh err %v, reused err %v", cfg.Policy, cfg.Credit.Kind, ferr, rerr)
 				}
@@ -130,8 +130,8 @@ func TestReuseQuickProperty(t *testing.T) {
 		fresh2, err2 := RunMaxContention(cfg, diffPrograms(t, "matrix"), seed2)
 
 		var rn Runner
-		reused1, rerr1 := rn.MaxContention(cfg, diffPrograms(t, "matrix"), seed1)
-		reused2, rerr2 := rn.MaxContention(cfg, diffPrograms(t, "matrix"), seed2)
+		reused1, rerr1 := rn.MaxContention(cfg, diffPrograms(t, "matrix"), seed1, nil)
+		reused2, rerr2 := rn.MaxContention(cfg, diffPrograms(t, "matrix"), seed2, nil)
 
 		return (err1 == nil) == (rerr1 == nil) && (err2 == nil) == (rerr2 == nil) &&
 			reflect.DeepEqual(fresh1, reused1) && reflect.DeepEqual(fresh2, reused2)
@@ -150,15 +150,15 @@ func TestReuseQuickProperty(t *testing.T) {
 func TestReuseErrorDiscardsMachine(t *testing.T) {
 	var rn Runner
 	cfg := DefaultConfig()
-	if _, err := rn.MaxContention(cfg, diffPrograms(t, "matrix"), 1); err != nil {
+	if _, err := rn.MaxContention(cfg, diffPrograms(t, "matrix"), 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	bad := cfg
 	bad.Credit = CreditSpec{Kind: CreditHCBAWeights, Num: 9, Den: 2} // share ≥ 1 is rejected
-	if _, err := rn.MaxContention(bad, diffPrograms(t, "matrix"), 1); err == nil {
+	if _, err := rn.MaxContention(bad, diffPrograms(t, "matrix"), 1, nil); err == nil {
 		t.Fatal("invalid credit spec must fail")
 	}
-	got, err := rn.MaxContention(cfg, diffPrograms(t, "matrix"), 7)
+	got, err := rn.MaxContention(cfg, diffPrograms(t, "matrix"), 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,13 +181,13 @@ func TestReuseSteadyStateAllocs(t *testing.T) {
 	cfg.Credit.Kind = CreditCBA
 	proto := diffPrograms(t, "matrix")
 	var rn Runner
-	if _, err := rn.MaxContention(cfg, proto, 1); err != nil { // warm-up
+	if _, err := rn.MaxContention(cfg, proto, 1, nil); err != nil { // warm-up
 		t.Fatal(err)
 	}
 	seed := uint64(2)
 	avg := testing.AllocsPerRun(8, func() {
 		prog, _ := cpu.TryClone(proto)
-		if _, err := rn.MaxContention(cfg, prog, seed); err != nil {
+		if _, err := rn.MaxContention(cfg, prog, seed, nil); err != nil {
 			t.Fatal(err)
 		}
 		seed++

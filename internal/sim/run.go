@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"creditbus/internal/bus"
 	"creditbus/internal/cpu"
 	"creditbus/internal/mem"
@@ -54,58 +52,29 @@ func (m *Machine) result(tua int) Result {
 }
 
 // Probe observes a machine at step granularity: a probed run invokes it
-// after every engine step (one cycle on the per-cycle engine, one event
-// step on the fast engine), and once more after the final step. Probes must
-// only read — any mutation corrupts the run. They exist for the invariant
-// oracles of internal/scengen, which check budget bounds and bus
-// conservation at every observation point; a nil Probe makes the probed run
-// functions identical to their plain counterparts.
+// exactly once after every engine step (one cycle on the per-cycle engine,
+// one event step on the fast engine). Probes must only read — any mutation
+// corrupts the run. They exist for the invariant oracles of
+// internal/scengen, which check budget bounds and bus conservation at every
+// observation point; a nil Probe leaves the run unobserved.
 type Probe func(*Machine)
 
-// runProbed drives m until Done or limit, invoking probe after each step.
-// The loop is Machine.Run with the probe spliced in, including the limit
-// guard's cycle and message, so probed and plain runs are bit-identical.
-func runProbed(m *Machine, limit int64, probe Probe) error {
-	if probe == nil {
-		_, err := m.Run(limit)
-		return err
-	}
-	for !m.Done() {
-		if m.cycle >= limit {
-			return fmt.Errorf("sim: limit of %d cycles reached before completion", limit)
-		}
-		m.step(limit)
-		probe(m)
-	}
-	return nil
-}
-
 // RunIsolation executes prog alone on cfg.TuA with every other core idle —
-// the paper's ISO scenario. The configuration's Mode is forced to operation
-// mode (isolation measurements run the deployment configuration).
+// the paper's ISO scenario — on a fresh machine. The configuration's Mode
+// is forced to operation mode (isolation measurements run the deployment
+// configuration).
 func RunIsolation(cfg Config, prog cpu.Program, seed uint64) (Result, error) {
-	return RunIsolationProbed(cfg, prog, seed, nil)
-}
-
-// RunIsolationProbed is RunIsolation with a step-granularity observer.
-func RunIsolationProbed(cfg Config, prog cpu.Program, seed uint64, probe Probe) (Result, error) {
 	var r Runner // fresh runner = fresh machine: the unpooled reference path
-	return r.IsolationProbed(cfg, prog, seed, probe)
+	return r.Isolation(cfg, prog, seed, nil)
 }
 
 // RunMaxContention executes prog on cfg.TuA against Table I contention
 // injectors on every other core — the paper's CON scenario (WCET-estimation
 // mode: contender REQ always set, MaxL holds, COMP gating when CBA is on,
-// TuA budget starting empty).
+// TuA budget starting empty) — on a fresh machine.
 func RunMaxContention(cfg Config, prog cpu.Program, seed uint64) (Result, error) {
-	return RunMaxContentionProbed(cfg, prog, seed, nil)
-}
-
-// RunMaxContentionProbed is RunMaxContention with a step-granularity
-// observer.
-func RunMaxContentionProbed(cfg Config, prog cpu.Program, seed uint64, probe Probe) (Result, error) {
 	var r Runner
-	return r.MaxContentionProbed(cfg, prog, seed, probe)
+	return r.MaxContention(cfg, prog, seed, nil)
 }
 
 // emptyProgram reports whether p yields no operations. The probe consumes
@@ -118,9 +87,9 @@ func emptyProgram(p cpu.Program) bool {
 }
 
 // RunWorkloads executes one program per core (operation-mode contention,
-// e.g. the §II illustrative scenario with real streaming co-runners) and
-// returns the result for cfg.TuA. Runs until the TuA finishes; co-runners
-// keep generating contention throughout.
+// e.g. the §II illustrative scenario with real streaming co-runners) on a
+// fresh machine and returns the result for cfg.TuA. Runs until the TuA
+// finishes; co-runners keep generating contention throughout.
 //
 // Every non-nil program must yield at least one operation: an empty
 // program — in particular an empty trace wrapped in NewLooped, whose Next
@@ -128,13 +97,8 @@ func emptyProgram(p cpu.Program) bool {
 // asks for, so it is rejected up front with a clear error instead of
 // silently producing a contention-free (or deadlock-guarded) run.
 func RunWorkloads(cfg Config, programs []cpu.Program, seed uint64) (Result, error) {
-	return RunWorkloadsProbed(cfg, programs, seed, nil)
-}
-
-// RunWorkloadsProbed is RunWorkloads with a step-granularity observer.
-func RunWorkloadsProbed(cfg Config, programs []cpu.Program, seed uint64, probe Probe) (Result, error) {
 	var r Runner
-	return r.WorkloadsProbed(cfg, programs, seed, probe)
+	return r.Workloads(cfg, programs, seed, nil, nil)
 }
 
 // LoopedProgram wraps a trace so that it restarts forever — used for

@@ -58,89 +58,80 @@ func (r *Runner) scratch(cores int) []cpu.Program {
 }
 
 // Isolation executes prog alone on cfg.TuA with every other core idle —
-// the paper's ISO scenario — on the runner's recycled machine.
-func (r *Runner) Isolation(cfg Config, prog cpu.Program, seed uint64) (Result, error) {
-	return r.IsolationProbed(cfg, prog, seed, nil)
-}
-
-// IsolationProbed is Isolation with a step-granularity observer.
-func (r *Runner) IsolationProbed(cfg Config, prog cpu.Program, seed uint64, probe Probe) (Result, error) {
-	cfg.Mode = core.OperationMode
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	programs := r.scratch(cfg.Cores)
-	programs[cfg.TuA] = prog
-	m, err := r.machine(cfg, programs, seed)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := runProbed(m, DefaultLimit, probe); err != nil {
-		return Result{}, err
-	}
-	return m.result(cfg.TuA), nil
+// the paper's ISO scenario — on the runner's recycled machine, calling a
+// non-nil probe after every engine step.
+func (r *Runner) Isolation(cfg Config, prog cpu.Program, seed uint64, probe Probe) (Result, error) {
+	return r.run(isolationRun, cfg, prog, nil, seed, probe, nil)
 }
 
 // MaxContention executes prog on cfg.TuA against Table I contention
 // injectors on every other core — the paper's CON scenario — on the
-// runner's recycled machine.
-func (r *Runner) MaxContention(cfg Config, prog cpu.Program, seed uint64) (Result, error) {
-	return r.MaxContentionProbed(cfg, prog, seed, nil)
-}
-
-// MaxContentionProbed is MaxContention with a step-granularity observer.
-func (r *Runner) MaxContentionProbed(cfg Config, prog cpu.Program, seed uint64, probe Probe) (Result, error) {
-	cfg.Mode = core.WCETMode
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	programs := r.scratch(cfg.Cores)
-	programs[cfg.TuA] = prog
-	m, err := r.machine(cfg, programs, seed)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := runProbed(m, DefaultLimit, probe); err != nil {
-		return Result{}, err
-	}
-	return m.result(cfg.TuA), nil
+// runner's recycled machine, calling a non-nil probe after every engine
+// step.
+func (r *Runner) MaxContention(cfg Config, prog cpu.Program, seed uint64, probe Probe) (Result, error) {
+	return r.run(contentionRun, cfg, prog, nil, seed, probe, nil)
 }
 
 // Workloads executes one program per core (operation-mode contention) on
-// the runner's recycled machine, running until the TuA finishes.
-func (r *Runner) Workloads(cfg Config, programs []cpu.Program, seed uint64) (Result, error) {
-	return r.WorkloadsProbed(cfg, programs, seed, nil)
+// the runner's recycled machine, running until the TuA finishes. A non-nil
+// probe is called after every engine step; a non-nil obs is invoked for
+// every bus grant of the run, in grant order, on the runner's goroutine —
+// including injector and co-runner traffic, which is what the fairness
+// instrumentation (stats.Fairness) consumes. The observer is detached
+// before returning, so later runs on the same Runner are unobserved unless
+// re-requested. The programs slice is only read; the runner does not
+// retain it.
+func (r *Runner) Workloads(cfg Config, programs []cpu.Program, seed uint64, probe Probe, obs func(bus.GrantEvent)) (Result, error) {
+	return r.run(workloadsRun, cfg, nil, programs, seed, probe, obs)
 }
 
-// WorkloadsProbed is Workloads with a step-granularity observer. The
-// programs slice is only read; the runner does not retain it.
-func (r *Runner) WorkloadsProbed(cfg Config, programs []cpu.Program, seed uint64, probe Probe) (Result, error) {
+// runKind is the scenario shape of one run.
+type runKind uint8
+
+const (
+	isolationRun  runKind = iota // prog alone on the TuA, operation mode
+	contentionRun                // prog on the TuA against injectors, WCET mode
+	workloadsRun                 // one program per core, operation mode
+)
+
+// run is the one run sequence behind every entry point: force the kind's
+// mode, validate, check the programs, reinitialise the recycled machine,
+// step until the TuA finishes (with the limit guard and the optional probe
+// and grant observer), then collect the TuA's result. Single-program kinds
+// pass prog; workloads runs pass the per-core programs vector.
+func (r *Runner) run(kind runKind, cfg Config, prog cpu.Program, programs []cpu.Program, seed uint64, probe Probe, obs func(bus.GrantEvent)) (Result, error) {
 	cfg.Mode = core.OperationMode
+	if kind == contentionRun {
+		cfg.Mode = core.WCETMode
+	}
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	if len(programs) != cfg.Cores {
-		return Result{}, fmt.Errorf("sim: RunWorkloads needs %d programs", cfg.Cores)
-	}
-	if programs[cfg.TuA] == nil {
-		return Result{}, fmt.Errorf("sim: RunWorkloads needs a program on the TuA core %d", cfg.TuA)
-	}
-	for i, p := range programs {
-		if p == nil {
-			continue
+	if kind == workloadsRun {
+		if err := checkWorkloads(cfg, programs); err != nil {
+			return Result{}, err
 		}
-		if emptyProgram(p) {
-			return Result{}, fmt.Errorf("sim: RunWorkloads: program on core %d is empty", i)
-		}
+	} else {
+		programs = r.scratch(cfg.Cores)
+		programs[cfg.TuA] = prog
 	}
 	m, err := r.machine(cfg, programs, seed)
 	if err != nil {
 		return Result{}, err
 	}
+	if obs != nil {
+		m.SetGrantObserver(obs)
+		defer m.SetGrantObserver(nil)
+	}
+	// A single-program run has no live core but the TuA's (none for a nil
+	// prog), so "TuA done" is exactly Machine.Done for those kinds.
 	tua := m.cores[cfg.TuA]
-	for !tua.Done() {
+	for tua != nil && !tua.Done() {
 		if m.cycle >= DefaultLimit {
-			return Result{}, fmt.Errorf("sim: limit reached before TuA completion")
+			if kind == workloadsRun {
+				return Result{}, fmt.Errorf("sim: limit reached before TuA completion")
+			}
+			return Result{}, fmt.Errorf("sim: limit of %d cycles reached before completion", DefaultLimit)
 		}
 		m.step(DefaultLimit)
 		if probe != nil {
@@ -150,43 +141,19 @@ func (r *Runner) WorkloadsProbed(cfg Config, programs []cpu.Program, seed uint64
 	return m.result(cfg.TuA), nil
 }
 
-// WorkloadsObserved is Workloads with a per-grant observer: obs is invoked
-// for every bus grant of the run, in grant order, on the runner's goroutine.
-// The observer sees every grant — including injector and co-runner traffic —
-// which is what the fairness instrumentation (stats.Fairness) consumes. The
-// observer is detached before returning, so later runs on the same Runner
-// are unobserved unless re-requested.
-func (r *Runner) WorkloadsObserved(cfg Config, programs []cpu.Program, seed uint64, obs func(bus.GrantEvent)) (Result, error) {
-	cfg.Mode = core.OperationMode
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
+// checkWorkloads rejects a workloads program vector that cannot run: wrong
+// length, no TuA program, or an empty program on any core.
+func checkWorkloads(cfg Config, programs []cpu.Program) error {
 	if len(programs) != cfg.Cores {
-		return Result{}, fmt.Errorf("sim: RunWorkloads needs %d programs", cfg.Cores)
+		return fmt.Errorf("sim: RunWorkloads needs %d programs", cfg.Cores)
 	}
 	if programs[cfg.TuA] == nil {
-		return Result{}, fmt.Errorf("sim: RunWorkloads needs a program on the TuA core %d", cfg.TuA)
+		return fmt.Errorf("sim: RunWorkloads needs a program on the TuA core %d", cfg.TuA)
 	}
 	for i, p := range programs {
-		if p == nil {
-			continue
-		}
-		if emptyProgram(p) {
-			return Result{}, fmt.Errorf("sim: RunWorkloads: program on core %d is empty", i)
+		if p != nil && emptyProgram(p) {
+			return fmt.Errorf("sim: RunWorkloads: program on core %d is empty", i)
 		}
 	}
-	m, err := r.machine(cfg, programs, seed)
-	if err != nil {
-		return Result{}, err
-	}
-	m.SetGrantObserver(obs)
-	defer m.SetGrantObserver(nil)
-	tua := m.cores[cfg.TuA]
-	for !tua.Done() {
-		if m.cycle >= DefaultLimit {
-			return Result{}, fmt.Errorf("sim: limit reached before TuA completion")
-		}
-		m.step(DefaultLimit)
-	}
-	return m.result(cfg.TuA), nil
+	return nil
 }
